@@ -31,7 +31,7 @@ import numpy as np
 
 from .ncpoly import (
     BETA, BETA_STAR,
-    CanonicalMonomial, NCPolynomial, QParam, adjoint, mul, z2_act,
+    CanonicalMonomial, NCPolynomial, QParam, adjoint, mul,
 )
 from . import rep as _rep
 
@@ -108,7 +108,7 @@ def _haar_monomial(mon: CanonicalMonomial, q: float) -> float:
 
 def _require_deformed(qp: QParam):
     # the invariant-state formulas degenerate to 0/0 at q = 1; the classical
-    # regime is only wired through the rewriting engine, not the state
+    # regime is only wired through the algebra product, not the state
     if qp.q >= 1.0:
         raise ValueError("invariant state formulas require q < 1")
 
@@ -422,11 +422,11 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
 def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:
     """Worst deviation of the basis from orthonormality.
 
-    Cross-sector pairs go through the engine pairing, which returns exact
+    Cross-sector pairs go through the algebra pairing, which returns exact
     zeros by the charge selection rule; same-sector pairs use the stable
-    moment pairing so the meter's own noise (the engine's alpha-contraction
-    roundoff, ~1e-10 at q = 0.3 already for l = 3/2 labels) does not mask
-    the answer.
+    moment pairing so the meter's own noise (the expanded product's
+    cancellation, ~1e-10 at q = 0.3 already for l = 3/2 labels) does not
+    mask the answer.
     """
     labels = basis.labels()
     sector = {lab: sector_of_label(lab[1], lab[2]) for lab in labels}
@@ -441,11 +441,3 @@ def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:
             worst = max(worst, abs(val - target))
     return worst
 
-
-def basis_parity_defects(basis: GNSBasis) -> dict[tuple[int, int, int], float]:
-    """Coefficientwise defect of g e^(l) = (-1)^(2l) e^(l) for every label."""
-    out = {}
-    for (l2, j2, k2), vec in basis.entries.items():
-        expected = vec.poly if l2 % 2 == 0 else -vec.poly
-        out[(l2, j2, k2)] = z2_act(vec.poly).max_coeff_diff(expected)
-    return out

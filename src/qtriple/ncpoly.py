@@ -13,9 +13,18 @@ a unique linear combination of the canonical monomials
     a^k  b^n b*^m        (k >= 0)
     a*^k b^n b*^m        (k >= 1)
 
-and this module implements that reduction as a terminating rewriting system
-together with the product, involution and the sign flip  g: a -> -a, b -> -b
-whose fixed points form the even (quantum SO(3)) subalgebra.
+The product and the involution act on these monomials in closed form, with
+x = b b* central in the b-part:
+
+    b^n b*^m a^k = q^(-(n+m)k) a^k b^n b*^m     (a*^k: k counts negative)
+    a^c a*^c = prod_{i=1..c} (1 - q^(2i) x)     a*^c a^c = prod_{i<c} (1 - q^(-2i) x)
+    x^t a^d = q^(-2td) a^d x^t                  x^t a*^d = q^(2td) a*^d x^t
+    (a^k b^n b*^m)* = q^((n+m)k) a^(-k) b^m b*^n
+
+so a monomial product costs O(degree).  The module also holds the sign flip
+g: a -> -a, b -> -b, whose fixed points form the even (quantum SO(3))
+subalgebra, and the reduction of free words, a terminating rewriting system
+that is the reference the closed forms are tested against.
 
 Rewrite rule set (derived from the relations above and their adjoints):
 
@@ -32,6 +41,7 @@ normal form is checked against the faithful-representation oracle in `rep`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +58,6 @@ ALPHA, ALPHA_STAR, BETA, BETA_STAR = 0, 1, 2, 3
 LETTERS = (ALPHA, ALPHA_STAR, BETA, BETA_STAR)
 
 LETTER_NAMES = {ALPHA: "a", ALPHA_STAR: "a*", BETA: "b", BETA_STAR: "b*"}
-ADJOINT_OF = {ALPHA: ALPHA_STAR, ALPHA_STAR: ALPHA, BETA: BETA_STAR, BETA_STAR: BETA}
 
 
 class DegreeOverflowError(ValueError):
@@ -399,42 +408,91 @@ def _canonical_of(w: tuple[int, ...]) -> CanonicalMonomial:
     return CanonicalMonomial(alpha, beta, beta_star)
 
 
-@lru_cache(maxsize=1 << 18)
-def _monomial_product(qp: QParam, m1: CanonicalMonomial, m2: CanonicalMonomial) -> NCPolynomial:
-    return normalize(Word(m1.letters() + m2.letters()), qp)
+# ---------------------------------------------------------------------------
+# Closed-form product and involution
+# ---------------------------------------------------------------------------
+
+def _qpow(q: float, e: int) -> float:
+    """q^e, saturating to inf where it overflows, as repeated products do."""
+    try:
+        return q ** e
+    except OverflowError:
+        return math.inf
 
 
-@lru_cache(maxsize=1 << 16)
-def _monomial_adjoint(qp: QParam, m: CanonicalMonomial) -> NCPolynomial:
-    reversed_starred = tuple(ADJOINT_OF[l] for l in reversed(m.letters()))
-    return normalize(Word(reversed_starred), qp)
+@lru_cache(maxsize=1024)
+def _contraction(q: float, c: int, alpha_first: bool) -> tuple[float, ...]:
+    """Coefficients in x = b b* of a^c a*^c (``alpha_first``) or of a*^c a^c.
+
+    Every factor is (1 - r x) with r > 0, so the t-th coefficient is (-1)^t
+    times a sum of positive terms and the expansion cannot cancel.
+    """
+    ratio = q * q if alpha_first else 1.0 / (q * q)
+    r = ratio if alpha_first else 1.0
+    coeffs = [1.0]
+    for _ in range(c):
+        coeffs = [1.0] + [coeffs[t] - r * coeffs[t - 1] for t in range(1, len(coeffs))] \
+            + [-r * coeffs[-1]]
+        r *= ratio
+    return tuple(coeffs)
+
+
+def _monomial_product(qp: QParam, m1: CanonicalMonomial, m2: CanonicalMonomial):
+    """The canonical expansion of m1 m2 as (monomial, coefficient) pairs.
+
+    Write m_i = A_i B_i with A_i = alpha^(k_i) and B_i = b^(n_i) b*^(m_i).
+    B1 moves left past A2, the alpha powers add or contract to a polynomial
+    in x, and an alpha remainder right of that polynomial moves left past
+    x^t.  Coefficients at or below ``qp.prune`` are dropped.
+    """
+    q = qp.q
+    k1, k2 = m1.alpha, m2.alpha
+    k = k1 + k2
+    beta, beta_star = m1.beta + m2.beta, m1.beta_star + m2.beta_star
+    passing = -(m1.beta + m1.beta_star) * k2
+    if k1 * k2 >= 0:
+        contraction, remainder_right = (1.0,), False
+    else:
+        contraction = _contraction(q, min(abs(k1), abs(k2)), k1 > 0)
+        remainder_right = abs(k2) > abs(k1)
+    out = []
+    for t, p in enumerate(contraction):
+        c = p * _qpow(q, passing - 2 * t * k if remainder_right else passing)
+        if abs(c) > qp.prune:
+            out.append((CanonicalMonomial(k, beta + t, beta_star + t), c))
+    return out
 
 
 def mul(x: NCPolynomial, y: NCPolynomial) -> NCPolynomial:
-    """Product in the algebra: normalize the concatenation, bilinearly."""
+    """Product in the algebra: the closed-form monomial product, bilinearly."""
     if x.qp != y.qp:
         raise ValueError("mixed deformation parameters")
     qp = x.qp
     acc: dict[CanonicalMonomial, complex] = {}
     for m1, c1 in x.terms.items():
+        d1 = m1.degree
         for m2, c2 in y.terms.items():
-            if m1.degree + m2.degree > qp.max_degree:
+            if d1 + m2.degree > qp.max_degree:
                 raise DegreeOverflowError(
-                    f"product degree {m1.degree + m2.degree} exceeds cap {qp.max_degree}")
+                    f"product degree {d1 + m2.degree} exceeds cap {qp.max_degree}")
             scale = c1 * c2
-            for mon, c in _monomial_product(qp, m1, m2).terms.items():
+            for mon, c in _monomial_product(qp, m1, m2):
                 acc[mon] = acc.get(mon, 0.0) + scale * c
     return NCPolynomial(qp, acc)
 
 
 def adjoint(x: NCPolynomial) -> NCPolynomial:
-    """The involution: conjugate-linear, anti-multiplicative, involutive."""
+    """The involution: conjugate-linear, anti-multiplicative, involutive.
+
+    On monomials, (a^k b^n b*^m)* = q^((n+m)k) a^(-k) b^m b*^n.
+    """
+    qp = x.qp
     acc: dict[CanonicalMonomial, complex] = {}
     for m, c in x.terms.items():
-        scale = c.conjugate()
-        for mon, cc in _monomial_adjoint(x.qp, m).terms.items():
-            acc[mon] = acc.get(mon, 0.0) + scale * cc
-    return NCPolynomial(x.qp, acc)
+        w = _qpow(qp.q, (m.beta + m.beta_star) * m.alpha)
+        if w > qp.prune:
+            acc[CanonicalMonomial(-m.alpha, m.beta_star, m.beta)] = c.conjugate() * w
+    return NCPolynomial(qp, acc)
 
 
 def z2_act(x: NCPolynomial) -> NCPolynomial:

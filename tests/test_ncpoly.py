@@ -1,7 +1,10 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from qtriple import ncpoly
 from qtriple.ncpoly import (
     ALPHA, ALPHA_STAR, BETA, BETA_STAR,
     CanonicalMonomial, DegreeOverflowError, NCPolynomial, ParityError,
@@ -16,6 +19,44 @@ def gen(qp, letter):
 
 def mono(qp, a, b, bs, c=1.0):
     return NCPolynomial.monomial(qp, CanonicalMonomial(a, b, bs), c)
+
+
+STARRED = {ALPHA: ALPHA_STAR, ALPHA_STAR: ALPHA, BETA: BETA_STAR, BETA_STAR: BETA}
+ORACLE_TOL = 1e-12
+
+
+def oracle_gap(got, want):
+    """Gap of ``got`` from the rewriter's ``want``, relative to the largest
+    coefficient of ``want``; inf when the supports differ."""
+    if got.terms.keys() != want.terms.keys():
+        return math.inf
+    if not want.terms:
+        return 0.0
+    return got.max_coeff_diff(want) / max(abs(c) for c in want.terms.values())
+
+
+def product_oracle_gap(qp, max_degree):
+    """Worst gap of mul from normalizing the concatenated letters, over every
+    pair of canonical monomials of degree <= max_degree."""
+    mons = monomials_up_to(max_degree)
+    polys = [NCPolynomial.monomial(qp, m) for m in mons]
+    worst = 0.0
+    for m1, x in zip(mons, polys):
+        for m2, y in zip(mons, polys):
+            want = normalize(Word(m1.letters() + m2.letters()), qp)
+            worst = max(worst, oracle_gap(mul(x, y), want))
+    return worst
+
+
+def contraction_exact(q, k, alpha_first):
+    """x-coefficients of a^k a*^k = prod_{i=1..k} (1 - q^(2i) x) (alpha_first)
+    or a*^k a^k = prod_{i<k} (1 - q^(-2i) x), expanded in exact arithmetic."""
+    roots = [q ** (2 * i) for i in range(1, k + 1)] if alpha_first else \
+        [q ** (-2 * i) for i in range(k)]
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
 class TestQParam:
@@ -140,6 +181,59 @@ class TestMul:
         other = QParam(0.3)
         with pytest.raises(ValueError):
             mul(NCPolynomial.one(qp), NCPolynomial.one(other))
+
+
+class TestClosedFormAgainstRewriter:
+    """mul and adjoint run in closed form; the free-word rewriter is their oracle."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_product_of_every_monomial_pair(self, q):
+        assert product_oracle_gap(QParam(q), 6) <= ORACLE_TOL
+
+    def test_product_classical(self):
+        assert product_oracle_gap(QParam(1.0, classical=True), 4) <= ORACLE_TOL
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_adjoint_of_every_monomial(self, q):
+        qp = QParam(q)
+        for m in monomials_up_to(8):
+            starred = tuple(STARRED[l] for l in reversed(m.letters()))
+            got = adjoint(NCPolynomial.monomial(qp, m))
+            assert oracle_gap(got, normalize(Word(starred), qp)) <= ORACLE_TOL, m
+
+    @pytest.mark.parametrize("alpha_first", [True, False])
+    def test_alpha_contractions_match_exact_products(self, alpha_first):
+        q = Fraction(1, 2)
+        qp = QParam(float(q))
+        for k in range(1, 13):
+            left, right = (k, -k) if alpha_first else (-k, k)
+            got = mul(mono(qp, left, 0, 0), mono(qp, right, 0, 0))
+            exact = contraction_exact(q, k, alpha_first)
+            kept = {CanonicalMonomial(0, t, t): c for t, c in enumerate(exact)
+                    if abs(c) > qp.prune}
+            assert got.terms.keys() == kept.keys(), k
+            for mon, c in kept.items():
+                assert abs(got.coeff(mon) - float(c)) <= ORACLE_TOL * abs(float(c)), (k, mon)
+
+    def test_wrong_contraction_exponent_is_caught(self, monkeypatch):
+        # both contraction polynomials with one q power too many on their x term
+        true_contraction = ncpoly._contraction
+
+        def mutant(q, c, alpha_first):
+            coeffs = list(true_contraction(q, c, alpha_first))
+            coeffs[1] *= q
+            return tuple(coeffs)
+
+        qp = QParam(0.5)
+        assert product_oracle_gap(qp, 3) <= ORACLE_TOL
+        monkeypatch.setattr(ncpoly, "_contraction", mutant)
+        assert product_oracle_gap(qp, 3) > ORACLE_TOL
+
+    def test_wrong_passing_exponent_is_caught(self, monkeypatch):
+        # every nontrivial passing factor (b's past alpha, x^t past a remainder)
+        # one power of q off
+        monkeypatch.setattr(ncpoly, "_qpow", lambda q, e: q ** (e + 1) if e else 1.0)
+        assert product_oracle_gap(QParam(0.5), 3) > ORACLE_TOL
 
 
 class TestAdjoint:
