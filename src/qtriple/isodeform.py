@@ -76,16 +76,25 @@ class TorusModel:
         return cmath.exp(2j * math.pi * float(self.theta))
 
     def lam_pow(self, k: int) -> complex:
+        return complex(self.lam_powers(k))
+
+    def lam_powers(self, k) -> np.ndarray:
+        """lambda^k elementwise for an integer exponent array."""
+        k = np.asarray(k, dtype=np.int64)
         if self.exact:
-            # reduce the exponent so float error never accumulates with k
-            frac = (self.theta * k) % 1
-            return cmath.exp(2j * math.pi * float(frac))
-        return cmath.exp(2j * math.pi * float(self.theta) * k)
+            # reduce the exponent mod the denominator so float error never grows with k
+            p, d = self.theta.numerator, self.theta.denominator
+            return np.exp(2j * np.pi * ((p * k) % d / d))
+        return np.exp(2j * np.pi * self.theta * k)
+
+    def p_index(self, which: int) -> np.ndarray:
+        """Integer eigenvalues of p1 (which=1) or p2 (which=2), basis order (a, b)."""
+        a, b = np.divmod(np.arange(self.dim), self.n)
+        return a if which == 1 else b
 
     def p_diag(self, which: int) -> np.ndarray:
         """Eigenvalue vector of p1 (which=1) or p2 (which=2), basis order (a, b)."""
-        a, b = np.divmod(np.arange(self.dim), self.n)
-        return (a if which == 1 else b).astype(float)
+        return self.p_index(which).astype(float)
 
     def p_matrix(self, which: int) -> np.ndarray:
         return np.diag(self.p_diag(which)).astype(complex)
@@ -199,28 +208,24 @@ def homogeneity_defect(op: BigradedOp) -> float:
     return worst
 
 
-def _lam_diag_pow(model: TorusModel, exponent: int, which: int) -> np.ndarray:
-    """Diagonal of lambda^(exponent * p_which)."""
-    p = model.p_diag(which)
-    return np.array([model.lam_pow(exponent * int(k)) for k in p])
+def _twist(op, model: TorusModel | None, left: bool) -> np.ndarray:
+    op = _as_bigraded(op, model) if model is not None else op
+    m = op.model
+    p = m.p_index(1 if left else 2)
+    out = np.zeros((m.dim, m.dim), dtype=complex)
+    for (n1, n2), comp in op.components.items():
+        out += comp * m.lam_powers((n2 if left else n1) * p)[None, :]
+    return out
 
 
 def left_twist(op, model: TorusModel | None = None) -> np.ndarray:
     """l(T): each (n1, n2) component multiplied on the right by lambda^(n2 p1)."""
-    op = _as_bigraded(op, model) if model is not None else op
-    out = np.zeros((op.model.dim, op.model.dim), dtype=complex)
-    for (n1, n2), comp in op.components.items():
-        out += comp * _lam_diag_pow(op.model, n2, 1)[None, :]
-    return out
+    return _twist(op, model, left=True)
 
 
 def right_twist(op, model: TorusModel | None = None) -> np.ndarray:
     """r(T): each (n1, n2) component multiplied on the right by lambda^(n1 p2)."""
-    op = _as_bigraded(op, model) if model is not None else op
-    out = np.zeros((op.model.dim, op.model.dim), dtype=complex)
-    for (n1, n2), comp in op.components.items():
-        out += comp * _lam_diag_pow(op.model, n1, 2)[None, :]
-    return out
+    return _twist(op, model, left=False)
 
 
 def star_product(x: BigradedOp, y: BigradedOp) -> BigradedOp:
@@ -273,8 +278,7 @@ def verify_lemma_a(x, y, model: TorusModel) -> float:
     cy = by.components[(m1, m2)]
     lx, ry = left_twist(bx), right_twist(by)
     lhs = lx @ ry - ry @ lx
-    diag = np.array([model.lam_pow(n2 * int(a) + m1 * int(b))
-                     for a, b in zip(model.p_diag(1), model.p_diag(2))])
+    diag = model.lam_powers(n2 * model.p_index(1) + m1 * model.p_index(2))
     rhs = model.lam_pow(m1 * n2) * ((cx @ cy - cy @ cx) * diag[None, :])
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -362,8 +366,7 @@ def twisted_triple_check(model: TorusModel, d_matrix: np.ndarray | None = None,
 
     gr = _normalize_grading(grading, model)
     g1, g2 = gr(1, 0), gr(0, 1)
-    w_diag = np.array([(-1.0) ** (g1 * a + g2 * b)
-                       for a, b in zip(model.p_diag(1), model.p_diag(2))])
+    w_diag = np.where((g1 * model.p_index(1) + g2 * model.p_index(2)) % 2, -1.0, 1.0)
     d_flip = (w_diag[:, None] * d_matrix) * w_diag[None, :]
     d_equiv = float(np.max(np.abs(d_flip - d_matrix)))
     checks.append(CheckResult("sign flip fixes D", d_equiv == 0.0,

@@ -11,12 +11,30 @@ leaving the window are zeroed (no cyclic wrap), so operator identities hold
 exactly on interior vectors and every edge defect is quantified by the
 interior projector rather than hidden.
 
+Each generator is a weighted shift on the (fock, z) grid, and so is every
+word: a word of charges (c1, c2) sends e_(k, z) to w(k, z) e_(k - c1, z + c2).
+Its weight grid w is built letter by letter in O(length * dim) from two
+vectors cached per window and q, sqrt(1 - q^(2k)) for a and q^k for b.
+That one action serves every caller.  A word acts on a column block, viewed
+as (fock, z, column), by one shifted and scaled slice copy, in
+O(dim * columns) rather than the O(dim^2 * columns) of a dense product.
+`represent` scatters the same grids into a dense matrix; its weights
+multiply in the order of the dense product 1 @ M_1 @ ... @ M_n, so its
+entries are bitwise those of that product.
+
+A relation or normal-form residual is single-sector: each column maps to at
+most one row.  Its norm is reported by `norm_bound` as
+sqrt(max column |.|-sum * max row |.|-sum), which is exact for such a
+weighted partial permutation and an upper bound on the 2-norm of any other
+matrix, so a residual check can only get stricter.
+
 Basis order is row-major (fock, z): index = fock * (2 N_Z + 1) + (z + N_Z).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +48,7 @@ from .ncpoly import (
 
 __all__ = [
     "TruncationSpec", "build_generators", "represent", "interior_projector",
-    "interior_indices", "operator_norm", "relation_residuals",
+    "interior_indices", "operator_norm", "norm_bound", "relation_residuals",
     "normal_form_residual", "apply_word_to_columns", "apply_poly_to_columns",
     "save_matrix", "load_matrix", "RELATION_NAMES",
 ]
@@ -65,66 +83,99 @@ class TruncationSpec:
 
 
 @lru_cache(maxsize=64)
-def _generator_matrices(t: TruncationSpec, qp: QParam):
-    """The four compressed generator matrices, keyed by letter code."""
-    q = qp.q
-    nf, nz = t.fock_dim, t.z_count
-    # Fock factor of alpha: S sqrt(1 - Q^2), entries sqrt(1 - q^(2k)) at (k-1, k)
-    a_fock = np.zeros((nf, nf), dtype=complex)
-    for k in range(1, nf):
-        a_fock[k - 1, k] = np.sqrt(1.0 - q ** (2 * k))
-    q_diag = np.diag([q ** k for k in range(nf)]).astype(complex)
-    # z factor of beta: R, entries 1 at (m+1, m); hard truncation at the top edge
-    r_mat = np.zeros((nz, nz), dtype=complex)
-    for m in range(nz - 1):
-        r_mat[m + 1, m] = 1.0
-    eye_z = np.eye(nz, dtype=complex)
-    alpha = np.kron(a_fock, eye_z)
-    beta = np.kron(q_diag, r_mat)
-    mats = {
-        ALPHA: alpha,
-        ALPHA_STAR: alpha.conj().T.copy(),
-        BETA: beta,
-        BETA_STAR: beta.conj().T.copy(),
+def _weights(t: TruncationSpec, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights over the Fock levels: sqrt(1 - q^(2k)) for a, q^k for b."""
+    wa = np.array([np.sqrt(1.0 - q ** (2 * k)) for k in range(t.fock_dim)])
+    wb = np.array([q ** k for k in range(t.fock_dim)])
+    wa.setflags(write=False)
+    wb.setflags(write=False)
+    return wa, wb
+
+
+def _span(n: int, d: int) -> tuple[slice, slice]:
+    """Source and target slices of a shift by d along an axis of length n."""
+    lo, hi = max(0, -d), min(n, n - d)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0)
+    return slice(lo, hi), slice(lo + d, hi + d)
+
+
+def _shift_slices(t: TruncationSpec, d_fock: int, d_z: int):
+    """(source, target) index pairs on the (fock, z) grid of a displacement."""
+    (fs, ft), (zs, zt) = _span(t.fock_dim, d_fock), _span(t.z_count, d_z)
+    return (fs, zs), (ft, zt)
+
+
+def _word_shift(letters, t: TruncationSpec, qp: QParam) -> tuple[int, int, np.ndarray]:
+    """A word as one weighted shift: e_(k, z) -> grid[k, z] e_(k + d_fock, z + d_z).
+
+    The grid is built letter by letter from the left, each step a shifted
+    and scaled copy of the previous grid, so its weights multiply in the
+    order of the dense product 1 @ M_1 @ ... @ M_n.  A zero marks a source
+    whose path leaves the window (hard truncation).
+    """
+    wa, wb = _weights(t, qp.q)
+    # (fock step, z step, weight by source Fock level); a* e_k = wa[k+1] e_(k+1)
+    steps = {
+        ALPHA: (-1, 0, wa),
+        ALPHA_STAR: (1, 0, np.append(wa[1:], 0.0)),
+        BETA: (0, 1, wb),
+        BETA_STAR: (0, -1, wb),
     }
-    for m in mats.values():
-        m.setflags(write=False)
-    return mats
-
-
-def build_generators(t: TruncationSpec, qp: QParam):
-    """Return (alpha matrix, beta matrix) for the truncation window."""
-    mats = _generator_matrices(t, qp)
-    return mats[ALPHA], mats[BETA]
-
-
-def represent(x: NCPolynomial, t: TruncationSpec, qp: QParam | None = None) -> np.ndarray:
-    """Dense matrix of an element; monomials map to ordered generator products."""
-    qp = qp or x.qp
-    mats = _generator_matrices(t, qp)
-    out = np.zeros((t.dim, t.dim), dtype=complex)
-    for mon, c in x.terms.items():
-        acc = np.eye(t.dim, dtype=complex)
-        for letter in mon.letters():
-            acc = acc @ mats[letter]
-        out += c * acc
-    return out
+    grid = np.ones((t.fock_dim, t.z_count))
+    d_fock = d_z = 0
+    for letter in letters:
+        sf, sz, w = steps[letter]
+        src, tgt = _shift_slices(t, sf, sz)
+        nxt = np.zeros_like(grid)
+        nxt[src] = grid[tgt] * w[src[0], None]
+        grid = nxt
+        d_fock += sf
+        d_z += sz
+    return d_fock, d_z, grid
 
 
 def apply_word_to_columns(letters, t: TruncationSpec, qp: QParam, cols: np.ndarray) -> np.ndarray:
-    """Image of the column block under the ordered product of generator matrices."""
-    mats = _generator_matrices(t, qp)
-    acc = cols
-    for letter in reversed(tuple(letters)):
-        acc = mats[letter] @ acc
+    """Image of the column block under the word: one shifted, scaled slice copy."""
+    d_fock, d_z, grid = _word_shift(letters, t, qp)
+    src, tgt = _shift_slices(t, d_fock, d_z)
+    block = cols.reshape(t.fock_dim, t.z_count, -1)
+    out = np.zeros(block.shape, dtype=complex)
+    out[tgt] = grid[src][..., None] * block[src]
+    return out.reshape(cols.shape)
+
+
+def _apply_words(terms, t: TruncationSpec, qp: QParam, cols: np.ndarray) -> np.ndarray:
+    """Image of the column block under sum c * word over (c, letters) pairs."""
+    acc = np.zeros(cols.shape, dtype=complex)
+    for c, letters in terms:
+        acc += c * apply_word_to_columns(letters, t, qp, cols)
     return acc
 
 
 def apply_poly_to_columns(x: NCPolynomial, t: TruncationSpec, cols: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(cols)
+    return _apply_words(((c, mon.letters()) for mon, c in x.terms.items()), t, x.qp, cols)
+
+
+def build_generators(t: TruncationSpec, qp: QParam):
+    """Return (alpha matrix, beta matrix) for the truncation window."""
+    eye = np.eye(t.dim, dtype=complex)
+    return (apply_word_to_columns((ALPHA,), t, qp, eye),
+            apply_word_to_columns((BETA,), t, qp, eye))
+
+
+def represent(x: NCPolynomial, t: TruncationSpec, qp: QParam | None = None) -> np.ndarray:
+    """Dense matrix of an element, bitwise equal to the sum over its monomials
+    of c * (1 @ M_1 @ ... @ M_n) in the generator matrices M."""
+    qp = qp or x.qp
+    out = np.zeros((t.dim, t.dim), dtype=complex)
+    index = np.arange(t.dim).reshape(t.fock_dim, t.z_count)
     for mon, c in x.terms.items():
-        acc += c * apply_word_to_columns(mon.letters(), t, x.qp, cols)
-    return acc
+        d_fock, d_z, grid = _word_shift(mon.letters(), t, qp)
+        src, tgt = _shift_slices(t, d_fock, d_z)
+        # complex weights, so c * w is the complex product the dense c * acc forms
+        out[index[tgt], index[src]] += c * grid[src].astype(complex)
+    return out
 
 
 def interior_indices(t: TruncationSpec, margin: int | None = None) -> np.ndarray:
@@ -147,37 +198,33 @@ def interior_projector(t: TruncationSpec, margin: int | None = None) -> np.ndarr
     return p
 
 
-def operator_norm(a: np.ndarray, max_iter: int = 200, tol: float = 1e-12) -> float:
-    """2-norm estimate by power iteration on A*A (no external eigensolver).
+def _unit_columns(t: TruncationSpec, idx: np.ndarray) -> np.ndarray:
+    cols = np.zeros((t.dim, len(idx)), dtype=complex)
+    cols[idx, np.arange(len(idx))] = 1.0
+    return cols
 
-    Deterministic start vector; 200-iteration cap, 1e-12 relative
-    convergence threshold on the Rayleigh quotient.
+
+def operator_norm(a: np.ndarray) -> float:
+    """2-norm: the largest singular value."""
+    if a.size == 0:
+        return 0.0
+    return float(np.linalg.norm(a, 2))
+
+
+def norm_bound(a: np.ndarray) -> float:
+    """sqrt(max column |.|-sum * max row |.|-sum), at least the 2-norm.
+
+    Equal to the 2-norm, max |entry|, when every column and every row holds
+    at most one nonzero (a weighted partial permutation), as a single-sector
+    residual does.
     """
     if a.size == 0:
         return 0.0
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return 0.0
-    n = a.shape[1]
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = a.conj().T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = nw  # Rayleigh quotient of A*A at unit v equals |A*Av|
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            lam = lam_new
-            break
-        lam, v = lam_new, v_new
-    return float(np.sqrt(lam))
+    mag = np.abs(a)
+    return math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
 
 
-# The defining relations, listed as (name, callable on (alpha, beta, q) -> matrix).
+# The defining relations, in this order.
 RELATION_NAMES = (
     "a*a + b*b - 1",
     "aa* + q^2 bb* - 1",
@@ -187,22 +234,20 @@ RELATION_NAMES = (
 )
 
 
-def _relation_matrices(t: TruncationSpec, qp: QParam):
-    a, b = build_generators(t, qp)
-    astar, bstar = a.conj().T, b.conj().T
-    eye = np.eye(t.dim)
-    q = qp.q
+def _relation_terms(q: float) -> dict[str, tuple]:
+    """Each relation as (coefficient, letters) pairs; all terms share one sector."""
+    a, a_, b, b_ = ALPHA, ALPHA_STAR, BETA, BETA_STAR
     return {
-        RELATION_NAMES[0]: astar @ a + bstar @ b - eye,
-        RELATION_NAMES[1]: a @ astar + q * q * (b @ bstar) - eye,
-        RELATION_NAMES[2]: a @ b - q * (b @ a),
-        RELATION_NAMES[3]: a @ bstar - q * (bstar @ a),
-        RELATION_NAMES[4]: bstar @ b - b @ bstar,
+        RELATION_NAMES[0]: ((1.0, (a_, a)), (1.0, (b_, b)), (-1.0, ())),
+        RELATION_NAMES[1]: ((1.0, (a, a_)), (q * q, (b, b_)), (-1.0, ())),
+        RELATION_NAMES[2]: ((1.0, (a, b)), (-q, (b, a))),
+        RELATION_NAMES[3]: ((1.0, (a, b_)), (-q, (b_, a))),
+        RELATION_NAMES[4]: ((1.0, (b_, b)), (-1.0, (b, b_))),
     }
 
 
 def relation_residuals(t: TruncationSpec, qp: QParam) -> dict[str, float]:
-    """Interior operator-norm residual of each defining relation.
+    """Interior norm residual of each defining relation (see `norm_bound`).
 
     Every relation has total degree 2, so the projector margin is the stored
     margin plus 2.  On the infinite space all five vanish identically; here
@@ -212,11 +257,9 @@ def relation_residuals(t: TruncationSpec, qp: QParam) -> dict[str, float]:
     if t.margin < 1:
         raise ValueError("relation residuals need margin >= 1")
     idx = interior_indices(t, t.margin + 2)
-    out = {}
-    for name, mat in _relation_matrices(t, qp).items():
-        sub = mat[np.ix_(idx, idx)]
-        out[name] = operator_norm(sub)
-    return out
+    cols = _unit_columns(t, idx)
+    return {name: norm_bound(_apply_words(terms, t, qp, cols)[idx, :])
+            for name, terms in _relation_terms(qp.q).items()}
 
 
 def edge_defect(t: TruncationSpec, qp: QParam) -> float:
@@ -226,8 +269,8 @@ def edge_defect(t: TruncationSpec, qp: QParam) -> float:
     1 - q^(2 fock_dim) because the compressed shift loses the outgoing
     component at the last Fock level.
     """
-    mat = _relation_matrices(t, qp)[RELATION_NAMES[1]]
-    return operator_norm(mat)
+    terms = _relation_terms(qp.q)[RELATION_NAMES[1]]
+    return norm_bound(_apply_words(terms, t, qp, np.eye(t.dim, dtype=complex)))
 
 
 def normal_form_residual(word: Word, t: TruncationSpec, qp: QParam) -> float:
@@ -237,16 +280,16 @@ def normal_form_residual(word: Word, t: TruncationSpec, qp: QParam) -> float:
     margin), so all index paths stay inside the window and the residual is
     pure float noise when the rewrite is sound.  Words longer than
     min(fock_dim - 1, z_band) can graze the edges and are not guaranteed a
-    tiny residual.
+    tiny residual.  The word and its normal form share one sector, so the
+    residual is a weighted partial permutation and `norm_bound` is its norm.
     """
     nf = normalize(word, qp)
     mu = min(len(word.letters), min(t.fock_dim - 1, t.z_band))
     idx = interior_indices(t, mu)
-    cols = np.zeros((t.dim, len(idx)), dtype=complex)
-    cols[idx, np.arange(len(idx))] = 1.0
+    cols = _unit_columns(t, idx)
     direct = word.coefficient * apply_word_to_columns(word.letters, t, qp, cols)
     reduced = apply_poly_to_columns(nf, t, cols)
-    return operator_norm((direct - reduced)[idx, :])
+    return norm_bound((direct - reduced)[idx, :])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,18 @@ class TestModel:
             build_model(4, Fraction(1, 3))  # denominator does not divide N
         with pytest.raises(ValueError):
             build_model(1, Fraction(0))
+
+    def test_lam_powers_match_fraction_reference(self):
+        # exact mode reduces theta * k mod 1 in rationals, so the error stays
+        # at one rounding of the phase however large k grows
+        m = build_model(24, Fraction(5, 24))
+        k = np.arange(-2000, 2000)
+        ref = [cmath.exp(2j * math.pi * float((m.theta * int(j)) % 1)) for j in k]
+        assert np.max(np.abs(m.lam_powers(k) - ref)) <= 1e-15
+        assert np.all(m.lam_powers(24 * k) == 1.0)
+        g = build_model(24, 0.137)
+        ref = [cmath.exp(2j * math.pi * 0.137 * int(j)) for j in k]
+        assert np.max(np.abs(g.lam_powers(k) - ref)) <= 1e-12
 
     def test_torus_identity_at_origin(self):
         m = build_model(3, Fraction(1, 3))

@@ -1,22 +1,58 @@
+import itertools
 import os
 import random
 
 import numpy as np
 import pytest
 
+from qtriple import rep
 from qtriple.grammar import parse
 from qtriple.ncpoly import (
-    NCPolynomial, adjoint, mul, random_polynomial, random_word,
+    ALPHA, ALPHA_STAR, BETA, BETA_STAR, LETTERS, NCPolynomial, QParam,
+    adjoint, mul, random_polynomial, random_word,
 )
 from qtriple.rep import (
-    RELATION_NAMES, TruncationSpec, apply_poly_to_columns, build_generators,
-    edge_defect, interior_indices, interior_projector, load_matrix,
-    normal_form_residual, operator_norm, relation_residuals, represent,
-    save_matrix,
+    RELATION_NAMES, TruncationSpec, apply_poly_to_columns, apply_word_to_columns,
+    build_generators, edge_defect, interior_indices, interior_projector,
+    load_matrix, norm_bound, normal_form_residual, operator_norm,
+    relation_residuals, represent, save_matrix,
 )
 
 
 T_SMALL = TruncationSpec(8, 4, 1)
+
+
+def dense_generators(t, q):
+    """The four generators as kron'd dense matrices: the oracle for the shift action."""
+    nf, nz = t.fock_dim, t.z_count
+    a_fock = np.zeros((nf, nf), dtype=complex)
+    for k in range(1, nf):
+        a_fock[k - 1, k] = np.sqrt(1.0 - q ** (2 * k))
+    q_diag = np.diag([q ** k for k in range(nf)]).astype(complex)
+    r_mat = np.zeros((nz, nz), dtype=complex)
+    for m in range(nz - 1):
+        r_mat[m + 1, m] = 1.0
+    alpha = np.kron(a_fock, np.eye(nz, dtype=complex))
+    beta = np.kron(q_diag, r_mat)
+    return {ALPHA: alpha, ALPHA_STAR: alpha.conj().T, BETA: beta, BETA_STAR: beta.conj().T}
+
+
+def dense_represent(x, t):
+    """Sum over monomials of c * (1 @ M_1 @ ... @ M_n), multiplied left to right."""
+    mats = dense_generators(t, x.qp.q)
+    out = np.zeros((t.dim, t.dim), dtype=complex)
+    for mon, c in x.terms.items():
+        acc = np.eye(t.dim, dtype=complex)
+        for letter in mon.letters():
+            acc = acc @ mats[letter]
+        out += c * acc
+    return out
+
+
+def complex_polynomial(rng, qp, max_degree, n_terms):
+    x = random_polynomial(rng, qp, max_degree=max_degree, n_terms=n_terms)
+    return NCPolynomial(qp, {m: c * complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                             for m, c in x.terms.items()})
 
 
 def basis_vec(t, fock, z):
@@ -163,6 +199,110 @@ class TestNormalFormOracle:
         cols = np.eye(T_SMALL.dim, dtype=complex)[:, :7]
         assert np.allclose(apply_poly_to_columns(x, T_SMALL, cols),
                            represent(x, T_SMALL)[:, :7])
+
+
+class TestShiftActionOracle:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("t", [TruncationSpec(8, 4), TruncationSpec(5, 3)],
+                             ids=["interior", "both-edges"])
+    def test_every_short_word_matches_kron_product(self, t, q):
+        qp = QParam(q)
+        mats = dense_generators(t, q)
+        eye = np.eye(t.dim, dtype=complex)
+        worst = 0.0
+        for n in range(5):
+            for letters in itertools.product(LETTERS, repeat=n):
+                want = eye
+                for letter in letters:
+                    want = want @ mats[letter]
+                got = apply_word_to_columns(letters, t, qp, eye)
+                worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst <= 1e-15
+
+    def test_vector_and_block_shapes(self, qp):
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal(T_SMALL.dim) + 1j * rng.standard_normal(T_SMALL.dim)
+        word = (ALPHA_STAR, BETA, ALPHA)
+        want = dense_generators(T_SMALL, qp.q)
+        want = want[ALPHA_STAR] @ want[BETA] @ want[ALPHA] @ v
+        got = apply_word_to_columns(word, T_SMALL, qp, v)
+        assert got.shape == v.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_build_generators_are_the_kron_matrices(self, qp):
+        mats = dense_generators(T_SMALL, qp.q)
+        a, b = build_generators(T_SMALL, qp)
+        assert np.array_equal(a, mats[ALPHA]) and np.array_equal(b, mats[BETA])
+
+
+class TestRepresentBitwise:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_matches_dense_left_to_right_product(self, q):
+        qp = QParam(q)
+        rng = random.Random(11)
+        for t in (TruncationSpec(8, 4), TruncationSpec(5, 3), TruncationSpec(6, 5)):
+            for _ in range(8):
+                x = complex_polynomial(rng, qp, max_degree=5, n_terms=4)
+                assert represent(x, t).tobytes() == dense_represent(x, t).tobytes()
+
+    def test_dump_bytes_match_dense_product(self, tmp_path):
+        qp = QParam(0.5)
+        t = TruncationSpec(10, 5)
+        rng = random.Random(12)
+        xs = [parse("a b' + q a' b b' + b b'", qp)]
+        xs += [complex_polynomial(rng, qp, max_degree=4, n_terms=3) for _ in range(3)]
+        for x in xs:
+            for fmt in ("json", "bin"):
+                got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+                save_matrix(represent(x, t), os.fspath(got), fmt)
+                save_matrix(dense_represent(x, t), os.fspath(want), fmt)
+                assert got.read_bytes() == want.read_bytes()
+
+
+class TestNormBound:
+    def test_bounds_the_two_norm(self):
+        rng = np.random.default_rng(3)
+        for shape in ((30, 20), (12, 12), (1, 9), (7, 1)):
+            for _ in range(10):
+                a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                assert norm_bound(a) >= np.linalg.norm(a, 2) * (1 - 1e-14)
+
+    def test_exact_on_weighted_partial_permutations(self):
+        rng = np.random.default_rng(4)
+        for rows, cols in ((20, 20), (25, 14), (9, 30)):
+            for _ in range(10):
+                a = np.zeros((rows, cols), dtype=complex)
+                n = rng.integers(1, min(rows, cols) + 1)
+                r = rng.permutation(rows)[:n]
+                c = rng.permutation(cols)[:n]
+                a[r, c] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                assert norm_bound(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-14)
+
+    def test_zero_and_empty(self):
+        assert norm_bound(np.zeros((4, 3))) == 0.0
+        assert norm_bound(np.zeros((0, 3))) == 0.0
+
+
+class TestWeightMutation:
+    """A relative 1e-9 error in one weight must fail both residual checks."""
+
+    def test_perturbed_weight_is_caught(self, monkeypatch, qp):
+        t = TruncationSpec(16, 8, 2)
+        rng = random.Random(0)
+        words = [random_word(rng, max_len=8) for _ in range(60)]
+        assert max(relation_residuals(t, qp).values()) <= 1e-12
+        assert max(normal_form_residual(w, t, qp) for w in words) <= 1e-10
+        exact = rep._weights
+
+        def perturbed(t, q):
+            wa, wb = exact(t, q)
+            wa = wa.copy()
+            wa[3] *= 1.0 + 1e-9
+            return wa, wb
+
+        monkeypatch.setattr(rep, "_weights", perturbed)
+        assert max(relation_residuals(t, qp).values()) > 1e-12
+        assert max(normal_form_residual(w, t, qp) for w in words) > 1e-10
 
 
 class TestOperatorNorm:

@@ -121,6 +121,15 @@ class TestCommutator:
         norms = commutator_norm_scan(beta, qp, [5, 6, 7])
         assert abs(norms[2] - norms[1]) / norms[1] < 0.05
 
+    def test_alpha_squared_norm_is_largest_singular_value(self, qp):
+        # the bench workload's scan element a^2 at lmax2 = 6, where a power
+        # iteration stalled 1.9e-6 below the largest singular value
+        x = parse("a^2", qp)
+        top = commutator_matrix(x, gram_schmidt_basis(6, qp), DiracSpec(HalfInt(6)))
+        svd = np.linalg.svd(top, compute_uv=False)[0]
+        (norm,) = commutator_norm_scan(x, qp, [6])
+        assert abs(norm - svd) <= 1e-12 * svd
+
     def test_guard_band_requires_room(self, qp):
         basis = gram_schmidt_basis(1, qp)
         spec = DiracSpec(HalfInt(1))
