@@ -15,8 +15,8 @@ from .ncpoly import (
 )
 from .grammar import ParseError, parse
 from .rep import (
-    TruncationSpec, build_generators, interior_projector, operator_norm,
-    relation_residuals, represent,
+    TruncationSpec, build_generators, operator_norm, relation_residuals,
+    represent,
 )
 from .gns import (
     GNSBasis, GNSVector, GramSingularError, HalfInt, charge_of, gns_inner,

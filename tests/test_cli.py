@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 
 import numpy as np
 
@@ -111,6 +112,17 @@ class TestVerify:
         keys = {(r["lemma"], r["x"], r["y"]) for r in report["residuals"]}
         assert ("A", "clock", "shift") in keys and ("B", "shift", "clock") in keys
         assert all(r["residual"] <= 1e-13 for r in report["residuals"])
+
+    def test_deform_float_theta_passes(self, capsys):
+        # the thetas of the operators workload (bench/workloads.py): in
+        # generic mode each cyclic shift splits into a band and its
+        # wraparound, and lemma A runs over every pair of those components
+        for seed in range(1, 201):
+            theta = f"{random.Random(seed).uniform(0.05, 0.45):.6f}"
+            code, out, err = run(capsys, "verify", "deform", "--n", "24", "--theta", theta)
+            report = json.loads(out)
+            assert code == 0 and report["all_pass"], (theta, err)
+            assert all(c["pass"] for c in report["checks"])
 
     def test_triple_reports_restricted_spectrum(self, capsys):
         code, out, _ = run(capsys, "verify", "triple", "--lmax2", "4")

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qtriple import isodeform
 from qtriple.isodeform import (
-    GradingError, build_model, decompose,
+    BigradedOp, GradingError, build_model, decompose,
     homogeneity_defect, left_twist, right_twist, star_product,
     star_product_right, twisted_triple_check, verify_lemma_a,
     verify_lemma_b, z2_twist_project,
@@ -16,6 +17,69 @@ from qtriple.isodeform import (
 
 def random_matrix(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+# ---------------------------------------------------------------------------
+# The dense formulas: masked full-size copies and matrix products.  They are
+# the oracle for the weight-vector form of the same calculus.
+# ---------------------------------------------------------------------------
+
+def dense_components(mat, m):
+    """Bidegree -> the matrix masked to that bidegree's entries."""
+    a, b = np.divmod(np.arange(m.dim), m.n)
+    d1 = a[:, None] - a[None, :]
+    d2 = b[:, None] - b[None, :]
+    if m.exact:
+        d1, d2 = d1 % m.n, d2 % m.n
+    degs = {(int(d1[i, j]), int(d2[i, j])) for i, j in np.argwhere(mat != 0)}
+    return {deg: np.where((d1 == deg[0]) & (d2 == deg[1]), mat, 0) for deg in degs}
+
+
+def dense_twist(comps, m, left):
+    p = m.p_index(1 if left else 2)
+    out = np.zeros((m.dim, m.dim), dtype=complex)
+    for (n1, n2), c in comps.items():
+        out += c * m.lam_powers((n2 if left else n1) * p)[None, :]
+    return out
+
+
+def dense_star(xc, yc, m, right=False):
+    out = {}
+    for (n1, n2), cx in xc.items():
+        for (m1, m2), cy in yc.items():
+            deg = m.reduce_degree(n1 + m1, n2 + m2)
+            out[deg] = out.get(deg, 0) + m.lam_pow(n1 * m2 if right else m1 * n2) * (cx @ cy)
+    return out
+
+
+def dense_lemma_a(x, y, m):
+    ((n1, n2), cx), = dense_components(x, m).items()
+    ((m1, m2), cy), = dense_components(y, m).items()
+    lx = dense_twist({(n1, n2): cx}, m, left=True)
+    ry = dense_twist({(m1, m2): cy}, m, left=False)
+    diag = m.lam_powers(n2 * m.p_index(1) + m1 * m.p_index(2))
+    rhs = m.lam_pow(m1 * n2) * ((cx @ cy - cy @ cx) * diag[None, :])
+    return float(np.max(np.abs(lx @ ry - ry @ lx - rhs)))
+
+
+def dense_lemma_b(x, y, m):
+    xc, yc = dense_components(x, m), dense_components(y, m)
+    worst = 0.0
+    for left in (True, False):
+        lhs = dense_twist(xc, m, left) @ dense_twist(yc, m, left)
+        rhs = dense_twist(dense_star(xc, yc, m, right=not left), m, left)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def dense_sum(comps, m):
+    return sum(comps.values(), np.zeros((m.dim, m.dim), dtype=complex))
+
+
+def phase_op(m):
+    """diag(omega^p1), omega = exp(2 pi i / N): bidegree (0, 0) and
+    noncommuting with the shift."""
+    return BigradedOp(m, {(0, 0): np.exp(2j * np.pi * m.p_index(1) / m.n)})
 
 
 class TestModel:
@@ -39,6 +103,11 @@ class TestModel:
         g = build_model(24, 0.137)
         ref = [cmath.exp(2j * math.pi * 0.137 * int(j)) for j in k]
         assert np.max(np.abs(g.lam_powers(k) - ref)) <= 1e-12
+        # a float theta is an exact dyadic rational, reduced mod 1 the same way
+        for theta in (0.137, 0.1370000001, 0.432414):
+            g = build_model(24, theta)
+            ref = [cmath.exp(2j * math.pi * float((Fraction(theta) * int(j)) % 1)) for j in k]
+            assert np.max(np.abs(g.lam_powers(k) - ref)) <= 1e-15
 
     def test_torus_identity_at_origin(self):
         m = build_model(3, Fraction(1, 3))
@@ -47,14 +116,16 @@ class TestModel:
     def test_shift_conjugation_scales_by_phase(self):
         m = build_model(5, Fraction(1, 5))
         s1 = 2 * np.pi / 5
-        got = m.torus_conjugate(m.shift, s1, 0.0)
-        assert np.max(np.abs(got - np.exp(1j * s1) * m.shift)) < 1e-12
+        shift = m.shift.to_matrix()
+        got = m.torus_conjugate(shift, s1, 0.0)
+        assert np.max(np.abs(got - np.exp(1j * s1) * shift)) < 1e-12
 
     def test_clock_conjugation_scales_in_second_slot(self):
         m = build_model(4, Fraction(1, 4))
         s2 = 2 * np.pi * 3 / 4
-        got = m.torus_conjugate(m.clock, 0.0, s2)
-        assert np.max(np.abs(got - np.exp(1j * s2) * m.clock)) < 1e-12
+        clock = m.clock.to_matrix()
+        got = m.torus_conjugate(clock, 0.0, s2)
+        assert np.max(np.abs(got - np.exp(1j * s2) * clock)) < 1e-12
 
     def test_p_generators_commute_with_diagonals(self):
         m = build_model(4, Fraction(1, 4))
@@ -100,7 +171,7 @@ class TestTwists:
     def test_left_twist_ignores_first_degree(self):
         m = build_model(4, Fraction(1, 4))
         # bidegree (n1, 0): lambda^(0 * p1) = 1
-        assert np.allclose(left_twist(decompose(m.shift, m)), m.shift)
+        assert np.allclose(left_twist(decompose(m.shift, m)), m.shift.to_matrix())
 
     def test_theta_zero_twists_are_identity_maps(self):
         m = build_model(5, Fraction(0))
@@ -113,7 +184,7 @@ class TestTwists:
         # the (0,1) generator twists by the diagonal lambda^(p1) on the right
         m = build_model(4, Fraction(1, 4))
         lam_pow = np.array([m.lam_pow(int(k)) for k in m.p_diag(1)])
-        expected = m.clock * lam_pow[None, :]
+        expected = m.clock.to_matrix() * lam_pow[None, :]
         assert np.max(np.abs(left_twist(decompose(m.clock, m)) - expected)) < 1e-13
 
 
@@ -122,20 +193,21 @@ class TestStarProduct:
         m = build_model(4, Fraction(1, 4))
         x = decompose(m.shift, m)   # (1, 0)
         y = decompose(m.clock, m)   # (0, 1)
-        assert np.allclose(star_product(x, y).to_matrix(), m.shift @ m.clock)
+        assert np.allclose(star_product(x, y).to_matrix(),
+                           m.shift.to_matrix() @ m.clock.to_matrix())
 
     def test_clock_shift_picks_up_lambda(self):
         m = build_model(4, Fraction(1, 4))
         x = decompose(m.shift, m)
         y = decompose(m.clock, m)
         got = star_product(y, x).to_matrix()
-        assert np.max(np.abs(got - m.lam * (m.clock @ m.shift))) < 1e-13
+        assert np.max(np.abs(got - m.lam * (m.clock.to_matrix() @ m.shift.to_matrix()))) < 1e-13
 
     def test_associativity_on_random_homogeneous_triples(self):
         m = build_model(6, Fraction(1, 6))
         rng = np.random.default_rng(4)
         gens = [decompose(m.shift, m), decompose(m.clock, m),
-                decompose(m.shift @ m.clock, m)]
+                decompose(m.shift.to_matrix() @ m.clock.to_matrix(), m)]
         for x, y, z in itertools.product(gens, repeat=3):
             lhs = star_product(star_product(x, y), z).to_matrix()
             rhs = star_product(x, star_product(y, z)).to_matrix()
@@ -185,16 +257,17 @@ class TestLemmaA:
         m = build_model(4, Fraction(1, 4))
         omega = np.exp(2j * np.pi / 4)
         phase = np.kron(np.diag(omega ** np.arange(4)), np.eye(4))
-        assert np.max(np.abs(m.shift @ phase - phase @ m.shift)) > 1.0
-        assert verify_lemma_a(m.shift, phase, m) <= 1e-13
-        assert verify_lemma_a(phase, m.shift, m) <= 1e-13
-        assert verify_lemma_a(m.shift @ m.clock, phase, m) <= 1e-13
-        assert verify_lemma_b(phase, m.shift, m) <= 1e-13
+        shift = m.shift.to_matrix()
+        assert np.max(np.abs(shift @ phase - phase @ shift)) > 1.0
+        assert verify_lemma_a(shift, phase, m) <= 1e-13
+        assert verify_lemma_a(phase, shift, m) <= 1e-13
+        assert verify_lemma_a(shift @ m.clock.to_matrix(), phase, m) <= 1e-13
+        assert verify_lemma_b(phase, shift, m) <= 1e-13
 
     def test_requires_homogeneous_input(self):
         m = build_model(4, Fraction(1, 4))
         with pytest.raises(ValueError):
-            verify_lemma_a(m.shift + m.clock, m.shift, m)
+            verify_lemma_a(m.shift.to_matrix() + m.clock.to_matrix(), m.shift, m)
 
 
 class TestLemmaB:
@@ -228,11 +301,9 @@ class TestLemmaB:
         x, y = random_matrix(rng, m.dim), random_matrix(rng, m.dim)
         assert verify_lemma_b(x, y, m) <= 1e-12
         for gx in m.generators().values():
-            for comp_deg in decompose(gx, m).degrees():
-                comp = decompose(gx, m).components[comp_deg]
+            for comp in gx.parts():
                 for gy in m.generators().values():
-                    for deg2 in decompose(gy, m).degrees():
-                        comp2 = decompose(gy, m).components[deg2]
+                    for comp2 in gy.parts():
                         assert verify_lemma_a(comp, comp2, m) <= 1e-12
 
 
@@ -296,6 +367,98 @@ class TestTwistedTriple:
 
     def test_non_invariant_dirac_flagged(self):
         m = build_model(4, Fraction(1, 4))
-        checks = twisted_triple_check(m, d_matrix=m.shift + m.shift.conj().T)
+        shift = m.shift.to_matrix()
+        checks = twisted_triple_check(m, d_matrix=shift + shift.conj().T)
         by_name = {c.name: c for c in checks}
         assert not by_name["D torus-invariant"].passed
+
+
+ORACLE_MODELS = [(n, Fraction(1, n)) for n in (2, 3, 4, 6, 12)] + [(5, 0.1370000001)]
+
+
+def oracle_inputs(m, rng):
+    """The generators and the phase diagonal as dense matrices, plus one
+    random dense matrix; when it has more than 16 bidegrees it keeps 8
+    random ones, which bounds the cost of the pairwise star products."""
+    ops = [g.to_matrix() for g in (*m.generators().values(), phase_op(m))]
+    t = random_matrix(rng, m.dim)
+    comps = dense_components(t, m)
+    if len(comps) > 16:
+        degs = sorted(comps)
+        t = sum(comps[degs[i]] for i in rng.choice(len(degs), 8, replace=False))
+    return ops + [t]
+
+
+class TestDenseOracle:
+    """The weight-vector form against the dense formulas it replaces."""
+
+    @pytest.mark.parametrize("n, theta", ORACLE_MODELS)
+    def test_decompose_twists_and_star_products(self, n, theta):
+        m = build_model(n, theta)
+        ops = oracle_inputs(m, np.random.default_rng(n))
+        for x in ops:
+            comps = dense_components(x, m)
+            big = decompose(x, m)
+            assert big.degrees() == sorted(comps)
+            for deg, part in zip(big.degrees(), big.parts()):
+                assert np.array_equal(part.to_matrix(), comps[deg])
+            for left, twist in ((True, left_twist), (False, right_twist)):
+                assert np.max(np.abs(twist(big) - dense_twist(comps, m, left))) <= 1e-13
+        for x, y in itertools.product(ops, repeat=2):
+            xc, yc = dense_components(x, m), dense_components(y, m)
+            bx, by = decompose(x, m), decompose(y, m)
+            for right, star in ((False, star_product), (True, star_product_right)):
+                want = dense_sum(dense_star(xc, yc, m, right), m)
+                assert np.max(np.abs(star(bx, by).to_matrix() - want)) <= 1e-13
+
+    @pytest.mark.parametrize("n, theta", ORACLE_MODELS)
+    def test_lemma_residuals(self, n, theta):
+        m = build_model(n, theta)
+        rng = np.random.default_rng(100 + n)
+        ops = oracle_inputs(m, rng)
+        for x, y in itertools.product(ops, repeat=2):
+            assert abs(verify_lemma_b(x, y, m) - dense_lemma_b(x, y, m)) <= 1e-13
+        parts = [p.to_matrix() for x in ops for p in decompose(x, m).parts()]
+        pairs = list(itertools.product(range(len(parts)), repeat=2))
+        for i in rng.choice(len(pairs), min(len(pairs), 60), replace=False):
+            x, y = parts[pairs[i][0]], parts[pairs[i][1]]
+            assert abs(verify_lemma_a(x, y, m) - dense_lemma_a(x, y, m)) <= 1e-13
+
+
+MUTATION_MODELS = [build_model(4, Fraction(1, 4)), build_model(5, 0.1370000001)]
+
+
+def lemma_residuals(m):
+    """Worst lemma A residual over homogeneous component pairs and worst
+    lemma B residual over operator pairs, for shift, clock and the phase."""
+    ops = [*m.generators().values(), phase_op(m)]
+    worst_a = max(verify_lemma_a(cx, cy, m) for x in ops for y in ops
+                  for cx in x.parts() for cy in y.parts())
+    worst_b = max(verify_lemma_b(x, y, m) for x in ops for y in ops)
+    return worst_a, worst_b
+
+
+class TestMutations:
+    """A wrong exponent in a twist or in the star product fails a lemma."""
+
+    @pytest.mark.parametrize("m", MUTATION_MODELS, ids=["exact", "generic"])
+    def test_sound_calculus_passes(self, m):
+        assert max(lemma_residuals(m)) <= 1e-13
+
+    @pytest.mark.parametrize("m", MUTATION_MODELS, ids=["exact", "generic"])
+    def test_wrong_twist_exponent_fails(self, monkeypatch, m):
+        def wrong_twist(op, left):
+            # the left twist takes n1 where it needs n2
+            mo = op.model
+            return BigradedOp(mo, {deg: w * (mo.phases(deg[0], 0) if left else mo.phases(0, deg[0]))
+                                   for deg, w in op.components.items()})
+
+        monkeypatch.setattr(isodeform, "_twist", wrong_twist)
+        assert max(lemma_residuals(m)) > 1e-13
+
+    @pytest.mark.parametrize("m", MUTATION_MODELS, ids=["exact", "generic"])
+    def test_wrong_star_exponent_fails(self, monkeypatch, m):
+        # the left star product takes the right variant's exponent n1 n2'
+        monkeypatch.setattr(isodeform, "star_product",
+                            lambda x, y: isodeform._star(x, y, lambda n, k: n[0] * k[1]))
+        assert max(lemma_residuals(m)) > 1e-13

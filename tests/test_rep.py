@@ -13,9 +13,8 @@ from qtriple.ncpoly import (
 )
 from qtriple.rep import (
     RELATION_NAMES, TruncationSpec, apply_poly_to_columns, apply_word_to_columns,
-    build_generators, edge_defect, interior_indices, interior_projector,
-    load_matrix, norm_bound, normal_form_residual, operator_norm,
-    relation_residuals, represent, save_matrix,
+    build_generators, edge_defect, interior_indices, load_matrix, norm_bound,
+    normal_form_residual, operator_norm, relation_residuals, represent, save_matrix,
 )
 
 
@@ -59,6 +58,17 @@ def basis_vec(t, fock, z):
     v = np.zeros(t.dim, dtype=complex)
     v[t.index(fock, z)] = 1.0
     return v
+
+
+def column_block_residual(terms, t, qp, margin):
+    """The column-block residual: the interior's unit columns pushed through
+    sum c * word, rows restricted to the interior, then `norm_bound`.  The
+    oracle for the residuals taken from the weight grids."""
+    idx = interior_indices(t, margin)
+    cols = np.zeros((t.dim, len(idx)), dtype=complex)
+    cols[idx, np.arange(len(idx))] = 1.0
+    acc = sum(c * apply_word_to_columns(letters, t, qp, cols) for c, letters in terms)
+    return norm_bound(acc[idx, :])
 
 
 class TestTruncationSpec:
@@ -143,20 +153,29 @@ class TestRepresent:
 
 
 class TestInteriorProjector:
+    """The interior projector, held as the index set it projects onto."""
+
     def test_zero_margin_is_identity(self, qp):
-        assert np.allclose(interior_projector(T_SMALL, 0), np.eye(T_SMALL.dim))
+        assert np.array_equal(interior_indices(T_SMALL, 0), np.arange(T_SMALL.dim))
 
     def test_rank_counting(self):
         t = TruncationSpec(4, 2, 1)
-        p = interior_projector(t)
-        assert int(round(np.trace(p).real)) == 3 * 3
+        assert len(interior_indices(t)) == 3 * 3
         assert t.dim == 20
 
     def test_projector_axioms(self):
+        # distinct, sorted, inside the window, and exactly the basis vectors
+        # at least `margin` steps from the top Fock edge and both z edges
         for t in (TruncationSpec(6, 3, 2), TruncationSpec(5, 4, 1)):
-            p = interior_projector(t)
-            assert np.allclose(p @ p, p)
-            assert np.allclose(p.conj().T, p)
+            idx = interior_indices(t)
+            want = [t.index(f, z) for f in range(t.fock_dim - t.margin)
+                    for z in range(-(t.z_band - t.margin), t.z_band - t.margin + 1)]
+            assert idx.tolist() == want
+            assert np.all(np.diff(idx) > 0) and 0 <= idx[0] and idx[-1] < t.dim
+
+    def test_margin_beyond_window_rejected(self):
+        with pytest.raises(ValueError):
+            interior_indices(TruncationSpec(6, 3), 4)
 
 
 class TestRelationResiduals:
@@ -174,6 +193,25 @@ class TestRelationResiduals:
         t = TruncationSpec(8, 4, 1)
         assert edge_defect(t, qp) >= 1.0 - qp.q ** (2 * t.fock_dim) - 1e-9
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_grid_residuals_match_column_block_oracle(self, q):
+        qp = QParam(q)
+        a, a_, b, b_ = ALPHA, ALPHA_STAR, BETA, BETA_STAR
+        for t in (TruncationSpec(8, 4, 1), TruncationSpec(5, 3, 1), TruncationSpec(16, 8, 2)):
+            res = relation_residuals(t, qp)
+            for name, terms in rep._relation_terms(q).items():
+                want = column_block_residual(terms, t, qp, t.margin + 2)
+                assert abs(res[name] - want) <= 1e-16
+            want = column_block_residual(rep._relation_terms(q)[RELATION_NAMES[1]], t, qp, 0)
+            assert edge_defect(t, qp) == pytest.approx(want, rel=1e-14)
+            # mixed sectors: several displacements, so not a partial permutation
+            for terms in (((1.0, (a,)), (2.0, (b,))),
+                          ((1.0, (a, b)), (0.5j, (b_,)), (-1.0, ()), (0.25, (a_, a_)))):
+                for margin in (0, 2):
+                    got = rep._residual_bound(terms, t, qp, margin)
+                    want = column_block_residual(terms, t, qp, margin)
+                    assert got == pytest.approx(want, rel=1e-14)
+
 
 class TestNormalFormOracle:
     def test_random_words_agree_with_normal_form(self, qp):
@@ -182,6 +220,31 @@ class TestNormalFormOracle:
         for _ in range(60):
             w = random_word(rng, max_len=8)
             assert normal_form_residual(w, t, qp) <= 1e-10
+
+    def test_matches_column_block_oracle(self, qp):
+        t = TruncationSpec(12, 6)
+        rng = random.Random(1)
+        for _ in range(40):
+            w = random_word(rng, max_len=8)
+            nf = rep.normalize(w, qp)
+            terms = [(w.coefficient, w.letters)] + [(-c, m.letters()) for m, c in nf.terms.items()]
+            mu = min(len(w.letters), min(t.fock_dim - 1, t.z_band))
+            assert abs(normal_form_residual(w, t, qp) - column_block_residual(terms, t, qp, mu)) <= 1e-15
+
+    def test_foreign_sector_term_fails(self, monkeypatch, qp):
+        t = TruncationSpec(16, 8, 2)
+        rng = random.Random(0)
+        words = [random_word(rng, max_len=8) for _ in range(60)]
+        exact = rep.normalize
+
+        def foreign(word, qp):
+            # a term in b's sector, foreign to every word outside that sector
+            return exact(word, qp) + 1e-6 * NCPolynomial.generator(qp, BETA)
+
+        monkeypatch.setattr(rep, "normalize", foreign)
+        worst = max(normal_form_residual(w, t, qp) for w in words)
+        # the b term's largest interior weight is q^0 = 1, at the Fock vacuum
+        assert worst >= 0.999e-6
 
     def test_homomorphism_on_interior(self, qp):
         t = TruncationSpec(12, 6)
