@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -26,7 +27,7 @@ import numpy as np
 from . import gns, isodeform, rep, triple
 from .grammar import ParseError, parse
 from .ncpoly import (
-    ALPHA, CanonicalMonomial, NCPolynomial, QParam,
+    ALPHA, CanonicalMonomial, DegreeOverflowError, NCPolynomial, QParam,
     monomials_up_to, random_polynomial, random_word, z2_act,
 )
 from .report import CheckResult, all_passed
@@ -81,9 +82,18 @@ class RunConfig:
     def qp(self) -> QParam:
         return QParam(self.q)
 
-    def trunc(self, margin: int | None = None) -> rep.TruncationSpec:
-        return rep.TruncationSpec(self.fock_dim, self.z_band,
-                                  self.margin if margin is None else margin)
+    def trunc(self, margin: int = 0) -> rep.TruncationSpec:
+        try:
+            return rep.TruncationSpec(self.fock_dim, self.z_band, margin)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def basis_lmax2(self, default: int) -> int:
+        """--lmax2, or the command's default, for a command that builds the GNS basis."""
+        lmax2 = self.lmax2 if self.lmax2 is not None else default
+        if lmax2 > gns.LMAX2_CAP:
+            raise ConfigError(f"the GNS basis needs lmax2 <= {gns.LMAX2_CAP}, got {lmax2}")
+        return lmax2
 
     def tol(self, name: str) -> float:
         t = self.tolerances.get(name)
@@ -164,7 +174,7 @@ def cmd_haar(args, cfg: RunConfig) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     exact = gns.haar_exact(poly)
-    numeric = gns.haar_numeric(poly, rep.TruncationSpec(cfg.fock_dim, cfg.z_band))
+    numeric = gns.haar_numeric(poly, cfg.trunc())
     data = {"exact": [exact.real, exact.imag],
             "numeric": [numeric.real, numeric.imag],
             "abs_diff": abs(exact - numeric),
@@ -178,7 +188,7 @@ def cmd_haar(args, cfg: RunConfig) -> int:
 
 
 def cmd_gram(args, cfg: RunConfig) -> int:
-    lmax2 = cfg.lmax2 if cfg.lmax2 is not None else 3
+    lmax2 = cfg.basis_lmax2(3)
     basis = gns.gram_schmidt_basis(lmax2, cfg.qp)
     labels = basis.labels()
     worst = gns.basis_orthonormality_defect(basis, cfg.qp)
@@ -215,7 +225,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
 
 
 def cmd_dump_basis(args, cfg: RunConfig) -> int:
-    lmax2 = cfg.lmax2 if cfg.lmax2 is not None else 3
+    lmax2 = cfg.basis_lmax2(3)
     basis = gns.gram_schmidt_basis(lmax2, cfg.qp)
     _emit(json.dumps(basis.to_json_dict()), cfg)
     return 0
@@ -234,7 +244,7 @@ def cmd_dump_matrix(args, cfg: RunConfig) -> int:
     if not cfg.out:
         print("dump-matrix requires --out", file=sys.stderr)
         return 2
-    mat = rep.represent(poly, rep.TruncationSpec(cfg.fock_dim, cfg.z_band))
+    mat = rep.represent(poly, cfg.trunc())
     rep.save_matrix(mat, cfg.out, fmt)
     return 0
 
@@ -253,7 +263,7 @@ def suite_relations(cfg: RunConfig) -> list[CheckResult]:
     rng = random.Random(cfg.seed)
     tol_nf = cfg.tol("normal_form")
     worst = 0.0
-    t_oracle = rep.TruncationSpec(cfg.fock_dim, cfg.z_band)
+    t_oracle = cfg.trunc()
     for _ in range(200):
         w = random_word(rng, max_len=8)
         worst = max(worst, rep.normal_form_residual(w, t_oracle, cfg.qp))
@@ -287,14 +297,14 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
     checks.append(CheckResult("haar (bb*)^n vs geometric series", worst <= tol_series,
                               "n <= 6", tol_series, worst))
 
-    lmax2 = cfg.lmax2 if cfg.lmax2 is not None else 3
+    lmax2 = cfg.basis_lmax2(3)
     basis = gns.gram_schmidt_basis(lmax2, qp)
     labels = basis.labels()
     tol_orth = cfg.tol("orthonormality")
     worst = gns.basis_orthonormality_defect(basis, qp)
     checks.append(CheckResult("orthonormality", worst <= tol_orth,
-                              f"lmax2 {lmax2}; cross-sector via the engine pairing, "
-                              "same-sector via the moment pairing", tol_orth, worst))
+                              f"lmax2 {lmax2}; charge-blocked Gram, moment pairing "
+                              "inside each charge sector", tol_orth, worst))
 
     counts_ok = all(sum(1 for lab in labels if lab[0] == l2) == (l2 + 1) ** 2
                     for l2 in range(lmax2 + 1))
@@ -313,7 +323,7 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
 
 
 def suite_parity(cfg: RunConfig) -> list[CheckResult]:
-    lmax2 = cfg.lmax2 if cfg.lmax2 is not None else 5
+    lmax2 = cfg.basis_lmax2(5)
     basis = gns.gram_schmidt_basis(lmax2, cfg.qp)
     return triple.check_parity(basis)
 
@@ -339,7 +349,7 @@ def suite_covering(cfg: RunConfig) -> list[CheckResult]:
 
 
 def suite_triple(cfg: RunConfig) -> tuple[list[CheckResult], dict]:
-    lmax2 = cfg.lmax2 if cfg.lmax2 is not None else 4
+    lmax2 = cfg.basis_lmax2(4)
     result = triple.assemble_unoriented_triple(lmax2, cfg.qp, seed=cfg.seed)
     checks = list(result["checks"])
 
@@ -468,7 +478,9 @@ def _add_options(ap: argparse.ArgumentParser) -> None:
                     help="override a tolerance, e.g. --tol relations=1e-10")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="qtriple",
         description="quantum SO(3) spectral-triple toolkit")
@@ -515,7 +527,10 @@ def _config_from(args) -> RunConfig:
         name, _, value = item.partition("=")
         if name not in tolerances:
             raise ConfigError(f"unknown tolerance {name!r}")
-        tolerances[name] = float(value)
+        try:
+            tolerances[name] = float(value)
+        except ValueError:
+            raise ConfigError(f"bad --tol value {value!r} for {name}") from None
     return RunConfig(q=opts["q"], lmax2=opts["lmax2"], fock_dim=opts["fock"],
                      z_band=opts["zband"], margin=opts["margin"], theta=opts["theta"],
                      n=opts["n"], seed=opts["seed"], out=opts["out"], fmt=opts["fmt"],
@@ -535,7 +550,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc} (extreme q and depth degenerate the "
               "sector measure; lower --lmax2 or use a moderate q)", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ParseError, DegreeOverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,14 +11,18 @@ normalization choice is deliberate and is what every value below assumes.
 
 The GNS pairing <u, v> = h(u* v) vanishes across distinct charge sectors
 (pairs (alpha exponent, beta minus beta* exponent)), which is exact here
-because the closed form only feeds on charge-(0,0) monomials.  Inside the
-sector with charges (c1, c2) the pairing is a moment functional in x, whose
-orthogonal polynomials are little q-Jacobi polynomials in base q^2 with
-parameters a = q^(2|c2|), b = q^(2|c1|) and, on the c1 > 0 branch, the
-argument rescaled by q^(-2 c1) (the measure's support starts at x = q^(2 c1)
-there because a*^k a^k = prod (1 - q^(-2i) x) kills the first k Jackson
-nodes).  Labels (l, j, k) attach to sectors through c1 = -(j+k), c2 = k - j,
-with l - max(|j|, |k|) counting depth inside the sector.
+because the closed form only feeds on charge-(0,0) monomials.  So the
+pairing is computed charge-blocked: the terms of u and v are grouped by
+charge, and only the sectors they share are paired, never expanding the
+product u* v.  Inside the sector with charges (c1, c2) an element is its
+base monomial times f(x), and the pairing is the positive moment
+functional in x (`sector_moment`, memoized).  Its orthogonal polynomials
+are little q-Jacobi polynomials in base q^2 with parameters a = q^(2|c2|),
+b = q^(2|c1|) and, on the c1 > 0 branch, the argument rescaled by
+q^(-2 c1) (the measure's support starts at x = q^(2 c1) there because
+a*^k a^k = prod (1 - q^(-2i) x) kills the first k Jackson nodes).
+Labels (l, j, k) attach to sectors through c1 = -(j+k), c2 = k - j, with
+l - max(|j|, |k|) counting depth inside the sector.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .ncpoly import (
     BETA, BETA_STAR,
-    CanonicalMonomial, NCPolynomial, QParam, adjoint, mul,
+    CanonicalMonomial, DegreeOverflowError, NCPolynomial, QParam, mul,
 )
 from . import rep as _rep
 
@@ -95,6 +100,10 @@ class GramSingularError(RuntimeError):
     """Sector Gram matrix numerically singular: degree cutoff too small."""
 
 
+# Largest lmax2 that `gram_schmidt_basis` builds.
+LMAX2_CAP = 8
+
+
 # ---------------------------------------------------------------------------
 # Haar state
 # ---------------------------------------------------------------------------
@@ -141,10 +150,32 @@ def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec, qp: QParam | None = No
 
 
 def gns_inner(u, v, qp: QParam | None = None) -> complex:
-    """Sesquilinear pairing h(u* v); accepts GNSVector or NCPolynomial."""
+    """Sesquilinear pairing h(u* v); accepts GNSVector or NCPolynomial.
+
+    h only sees charge-(0,0) monomials, so h(u* v) is the sum, over the
+    charge sectors that u and v share, of the sector's moment pairing
+    sum_{s,t} conj(f_s) g_t m(s + t).  Here f and g are the x-coefficient
+    vectors of the parts of u and v in that sector and m is
+    `sector_moment`.  Terms of different charges are never multiplied.
+    Every moment is a sum of positive terms, so the value is stable at any
+    sector depth, where the expanded product adjoint(u) v would contract
+    alpha powers with coefficients growing like q^(-|c1|^2) that cancel.
+    The degree cap of `mul` still applies to deg u + deg v.
+    """
     pu = u.poly if isinstance(u, GNSVector) else u
     pv = v.poly if isinstance(v, GNSVector) else v
-    return haar_exact(mul(adjoint(pu), pv), qp)
+    if pu.qp != pv.qp:
+        raise ValueError("mixed deformation parameters")
+    if pu.degree() + pv.degree() > pu.qp.max_degree:
+        raise DegreeOverflowError(
+            f"pairing degree {pu.degree() + pv.degree()} exceeds cap {pu.qp.max_degree}")
+    qp = qp or pu.qp
+    _require_deformed(qp)
+    bu, bv = _charge_blocks(pu), _charge_blocks(pv)
+    total = 0.0 + 0.0j
+    for charge in bu.keys() & bv.keys():
+        total += _block_pair(charge, bu[charge], bv[charge], qp.q)
+    return total
 
 
 def charge_of(mon: CanonicalMonomial) -> tuple[int, int]:
@@ -220,50 +251,58 @@ def _sector_base_monomial(c1: int, c2: int, depth: int) -> CanonicalMonomial:
     return CanonicalMonomial(c1, max(c2, 0) + depth, max(-c2, 0) + depth)
 
 
-def sector_coefficients(p: NCPolynomial) -> tuple[tuple[int, int], list[complex]]:
-    """Charges and x-coefficient vector of a single-sector element base * f(x).
+def _charge_blocks(p: NCPolynomial) -> dict[tuple[int, int], list[tuple[int, complex]]]:
+    """The terms of p grouped by charge, as (depth, coefficient) pairs.
 
-    Well-defined because multiplying the sector's base monomial by powers of
-    x = b b* only triggers factor-1 reorderings, so the canonical
-    coefficients of such an element are exactly the f coefficients.
+    The monomial of depth t in sector (c1, c2) is the sector's base
+    monomial times x^t (b and b* commute), so its coefficient is the t-th
+    x-coefficient of p's part in that sector.
     """
-    charges = {m.charges for m in p.terms}
-    if len(charges) != 1:
-        raise ValueError(f"element spans several charge sectors: {sorted(charges)}")
-    c1, c2 = charges.pop()
-    depths = sorted(m.beta - max(c2, 0) for m in p.terms)
-    coeffs = [p.coeff(_sector_base_monomial(c1, c2, t))
-              for t in range(depths[-1] + 1)]
-    return (c1, c2), coeffs
+    blocks: dict[tuple[int, int], list[tuple[int, complex]]] = {}
+    for m, c in p.terms.items():
+        blocks.setdefault(m.charges, []).append((min(m.beta, m.beta_star), c))
+    return blocks
+
+
+def _block_pair(charge: tuple[int, int], fu, fv, q: float) -> complex:
+    """Moment pairing of two (depth, coefficient) blocks of one sector."""
+    c1, c2 = charge
+    return sum((cs.conjugate() * ct * _moment(c1, c2, s + t, q)
+                for s, cs in fu for t, ct in fv), start=0.0 + 0.0j)
 
 
 def sector_pair(u: NCPolynomial, v: NCPolynomial, qp: QParam | None = None) -> complex:
-    """GNS pairing of two same-sector elements through the moment functional.
+    """GNS pairing of two single-sector elements, through the moment functional.
 
-    Mathematically equal to gns_inner but numerically stable at any sector
-    depth: the expanded pairing contracts alpha powers with coefficients
-    growing like q^(-|c1|^2) that cancel catastrophically, while the moment
-    route sums positive terms only.
+    The same value as `gns_inner`, which pairs sector by sector anyway;
+    this entry point also checks that each argument lies in exactly one
+    charge sector and raises ValueError otherwise.  Distinct sectors give
+    an exact 0.
     """
-    qp = qp or u.qp
-    (cu, fu) = sector_coefficients(u)
-    (cv, fv) = sector_coefficients(v)
-    if cu != cv:
-        return 0.0 + 0.0j  # distinct sectors are exactly orthogonal
-    return sum(fs.conjugate() * ft * sector_moment(cu[0], cu[1], s + t, qp)
-               for s, fs in enumerate(fu) for t, ft in enumerate(fv))
+    for p in (u, v):
+        charges = {m.charges for m in p.terms}
+        if len(charges) != 1:
+            raise ValueError(f"element spans several charge sectors: {sorted(charges)}")
+    return gns_inner(u, v, qp)
 
 
-def sector_moment(c1: int, c2: int, p: int, qp: QParam, rtol: float = 1e-18) -> float:
+def sector_moment(c1: int, c2: int, p: int, qp: QParam) -> float:
     """Moment <v_0, x^p v_0> of the sector measure, by direct Jackson summation.
 
     v_0 is the sector's base monomial and x = b b*.  The summand is a
     product of nonneg terms, so unlike the canonical-form expansion (whose
     alpha contractions cancel catastrophically for large |c1|) this sum is
-    stable at any sector.  Used as the independent positivity oracle.
+    stable at any sector.  Memoized per (c1, c2, p, q) in a bounded table.
     """
     _require_deformed(qp)
-    q = qp.q
+    return _moment(c1, c2, p, qp.q)
+
+
+# A basis at lmax2 = 8, its Gram and the commutator scans of seven elements
+# of degree <= 2 use 425 distinct (c1, c2, p) at one q; the bound leaves
+# room for several q.
+@lru_cache(maxsize=4096)
+def _moment(c1: int, c2: int, p: int, q: float) -> float:
     total = 0.0
     k = abs(c1) if c1 > 0 else 0
     while True:
@@ -276,7 +315,7 @@ def sector_moment(c1: int, c2: int, p: int, qp: QParam, rtol: float = 1e-18) -> 
             for i in range(1, -c1 + 1):
                 w *= 1.0 - q ** (2 * (k + i))
         total += w
-        if w <= rtol * max(total, 1e-300):
+        if w <= 1e-18 * max(total, 1e-300):
             break
         k += 1
     return (1.0 - q * q) * total
@@ -354,8 +393,8 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
     Gram-Schmidt with one reorthogonalization pass; a pivot below 1e-12
     times the vector's own norm raises GramSingularError.
     """
-    if not 0 <= lmax2 <= 8:
-        raise ValueError("basis construction is desk-scale, need 0 <= lmax2 <= 8")
+    if not 0 <= lmax2 <= LMAX2_CAP:
+        raise ValueError(f"basis construction is desk-scale, need 0 <= lmax2 <= {LMAX2_CAP}")
     entries: dict[tuple[int, int, int], GNSVector] = {}
     norms: dict[tuple[int, int, int], float] = {}
     for (c1, c2), labels in sector_labels(lmax2):
@@ -420,24 +459,25 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
 
 
 def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:
-    """Worst deviation of the basis from orthonormality.
+    """Worst deviation |<e_i, e_j> - delta_ij| of the basis from orthonormality.
 
-    Cross-sector pairs go through the algebra pairing, which returns exact
-    zeros by the charge selection rule; same-sector pairs use the stable
-    moment pairing so the meter's own noise (the expanded product's
-    cancellation, ~1e-10 at q = 0.3 already for l = 3/2 labels) does not
-    mask the answer.
+    A charge-blocked Gram: every entry's terms are grouped by charge and
+    the entries are paired block by block inside each charge group, with
+    the moment pairing of `gns_inner`.  Entries that share no charge pair
+    to an exact 0 without any work, and a stray term in a foreign sector
+    still meets that sector's entries there as a nonzero cross-pairing.
     """
+    _require_deformed(qp)
     labels = basis.labels()
-    sector = {lab: sector_of_label(lab[1], lab[2]) for lab in labels}
-    worst = 0.0
-    for i, li in enumerate(labels):
-        for lj in labels[i:]:
-            if sector[li] == sector[lj]:
-                val = sector_pair(basis.entries[li].poly, basis.entries[lj].poly, qp)
-            else:
-                val = gns_inner(basis.entries[li], basis.entries[lj])
-            target = 1.0 if li == lj else 0.0
-            worst = max(worst, abs(val - target))
-    return worst
-
+    groups: dict[tuple[int, int], list[tuple[int, list]]] = {}
+    for i, lab in enumerate(labels):
+        for charge, block in _charge_blocks(basis.entries[lab].poly).items():
+            groups.setdefault(charge, []).append((i, block))
+    # only the pairs that share a charge, and every diagonal entry, since
+    # an entry without terms must still read as a defect of 1
+    gram = {(i, i): 0.0 + 0.0j for i in range(len(labels))}
+    for charge, members in groups.items():
+        for n, (i, bi) in enumerate(members):
+            for j, bj in members[n:]:
+                gram[i, j] = gram.get((i, j), 0.0) + _block_pair(charge, bi, bj, qp.q)
+    return max(abs(val - (1.0 if i == j else 0.0)) for (i, j), val in gram.items())

@@ -422,11 +422,22 @@ def twisted_triple_check(model: TorusModel, d_matrix=None,
                               f"bidegrees {d_big.degrees()}", None,
                               0.0 if invariant else 1.0))
 
+    if invariant:
+        # [D, c] for diagonal D is (D at target - D at source) x weight:
+        # no product of D with c is formed, so nothing cancels as |D| grows
+        d = d_big.components.get((0, 0), np.zeros(model.dim))
+
+        def bracket(op):
+            return BigradedOp(model, {deg: (_gather(d, model.targets(*deg)) - d) * w
+                                      for deg, w in op.components.items()})
+    else:
+        def bracket(op):
+            return _commutator(d_big, op)
     worst = 0.0
     for gen in model.generators().values():
         for comp in gen.parts():
-            lhs = _commutator(d_big, _twist(comp, left=True))
-            rhs = _twist(_commutator(d_big, comp), left=True)
+            lhs = bracket(_twist(comp, left=True))
+            rhs = _twist(bracket(comp), left=True)
             worst = max(worst, _max_gap(lhs, rhs))
     checks.append(CheckResult("[D, l(a)] = l([D, a])", worst <= tol,
                               "all homogeneous generator components", tol, worst))

@@ -108,25 +108,25 @@ def pi_matrix(a: NCPolynomial, basis: GNSBasis,
     def charge(lab):
         return next(iter(basis.entries[lab].poly.terms)).charges
 
-    row_charge = {lab: charge(lab) for lab in rows}
+    rows_of: dict[tuple[int, int], list[int]] = {}
+    for ri, rlab in enumerate(rows):
+        rows_of.setdefault(charge(rlab), []).append(ri)
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
     for ci, clab in enumerate(cols):
         image = mul(a, basis.entries[clab].poly)
         c1, c2 = charge(clab)
-        reachable = {(c1 + da, c2 + db) for (da, db) in a_charges}
-        for ri, rlab in enumerate(rows):
-            if row_charge[rlab] not in reachable:
-                continue
-            mat[ri, ci] = gns_inner(basis.entries[rlab], image)
+        for (da, db) in a_charges:
+            for ri in rows_of.get((c1 + da, c2 + db), ()):
+                mat[ri, ci] = gns_inner(basis.entries[rows[ri]], image)
     return mat
 
 
-def _guarded_columns(basis: GNSBasis, degree: int):
-    cut = basis.lmax2 - 2 * degree
+def _guard_cut(lmax2: int, degree: int) -> int:
+    """Largest column l2 whose image under a degree-``degree`` element stays below lmax2."""
+    cut = lmax2 - 2 * degree
     if cut < 0:
-        raise ValueError(
-            f"degree {degree} leaves no guarded columns below lmax2={basis.lmax2}")
-    return [lab for lab in basis.labels() if lab[0] <= cut]
+        raise ValueError(f"degree {degree} leaves no guarded columns below lmax2={lmax2}")
+    return cut
 
 
 def commutator_matrix(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec) -> np.ndarray:
@@ -137,9 +137,9 @@ def commutator_matrix(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec) -> np.n
     the full basis, so the matrix is the exact action on the banded domain
     and its norm grows monotonically with lmax.
     """
-    deg = max(a.degree(), 0)
-    cols = _guarded_columns(basis, deg)
+    cut = _guard_cut(basis.lmax2, max(a.degree(), 0))
     rows = basis.labels()
+    cols = [lab for lab in rows if lab[0] <= cut]
     pi = pi_matrix(a, basis, rows, cols)
     d_row = np.array([spec.d(HalfInt(l2), HalfInt(j2)) for (l2, j2, _) in rows])
     d_col = np.array([spec.d(HalfInt(l2), HalfInt(j2)) for (l2, j2, _) in cols])
@@ -147,12 +147,28 @@ def commutator_matrix(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec) -> np.n
 
 
 def commutator_norm_scan(a: NCPolynomial, qp: QParam, lmax2_list) -> list[float]:
-    """Norm of the guarded commutator at increasing cutoffs (nondecreasing)."""
+    """Norm of the guarded commutator at increasing cutoffs (nondecreasing).
+
+    One basis and one guarded commutator are built at the top cutoff.  Labels
+    sort by l2 and a lower cutoff's basis vectors are bitwise those of the
+    top basis, so the commutator at cutoff L is the leading block of rows
+    l2 <= L and guarded columns l2 <= L - 2 deg(a): the values equal those
+    of a basis and commutator rebuilt at every cutoff.
+    """
+    cutoffs = list(lmax2_list)
+    if not cutoffs:
+        return []
+    top = max(cutoffs)
+    basis = gram_schmidt_basis(top, qp)
+    comm = commutator_matrix(a, basis, DiracSpec(HalfInt(top)))
+    deg = max(a.degree(), 0)
+    l2s = [lab[0] for lab in basis.labels()]
     out = []
-    for lmax2 in lmax2_list:
-        basis = gram_schmidt_basis(lmax2, qp)
-        spec = DiracSpec(HalfInt(lmax2))
-        out.append(operator_norm(commutator_matrix(a, basis, spec)))
+    for lmax2 in cutoffs:
+        cut = _guard_cut(lmax2, deg)
+        rows = sum(1 for l2 in l2s if l2 <= lmax2)
+        cols = sum(1 for l2 in l2s if l2 <= cut)
+        out.append(operator_norm(comm[:rows, :cols]))
     return out
 
 

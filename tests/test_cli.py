@@ -5,7 +5,9 @@ import os
 import random
 
 import numpy as np
+import pytest
 
+from qtriple import cli
 from qtriple.cli import main
 from qtriple.rep import TruncationSpec, load_matrix, represent
 from qtriple.grammar import parse
@@ -68,6 +70,24 @@ class TestConfig:
         assert code == 0
         assert "4" in out  # q^-1 = 4
 
+    def test_out_of_range_values_exit_2(self, capsys):
+        for argv in (["verify", "gns", "--lmax2", "9"],
+                     ["gram", "--lmax2", "12"],
+                     ["verify", "relations", "--tol", "relations=tight"],
+                     ["haar", "a", "--fock", "2"],
+                     ["verify", "relations", "--zband", "3", "--margin", "5"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert "configuration error" in err, argv
+
+    def test_internal_value_error_is_not_a_config_error(self, capsys, monkeypatch):
+        def broken(cfg):
+            raise ValueError("internal fault")
+        monkeypatch.setattr(cli, "suite_parity", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["verify", "parity", "--lmax2", "1"])
+        assert "configuration error" not in capsys.readouterr().err
+
     def test_degenerate_sector_measure_is_config_error(self, capsys):
         # extreme q at depth collapses the sector measure: exit 2, not a crash
         code, _, err = run(capsys, "verify", "parity", "--q", "0.1")
@@ -123,6 +143,15 @@ class TestVerify:
             report = json.loads(out)
             assert code == 0 and report["all_pass"], (theta, err)
             assert all(c["pass"] for c in report["checks"])
+
+    def test_deform_float_theta_large_model(self, capsys):
+        # |D| grows as 2(N - 1); the bracket with a diagonal D is taken as
+        # (D at target - D at source) x weight, so nothing cancels at N = 400
+        code, out, err = run(capsys, "verify", "deform", "--n", "400", "--theta", "0.432414")
+        assert code == 0, err
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        bracket = checks["[D, l(a)] = l([D, a])"]
+        assert bracket["pass"] and bracket["tolerance"] == 1e-13
 
     def test_triple_reports_restricted_spectrum(self, capsys):
         code, out, _ = run(capsys, "verify", "triple", "--lmax2", "4")

@@ -1,25 +1,52 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
+from qtriple import gns
 from qtriple.grammar import parse
 from qtriple.ncpoly import (
     BETA,
-    CanonicalMonomial, NCPolynomial,
+    CanonicalMonomial, NCPolynomial, QParam,
     adjoint, monomials_up_to, mul, random_polynomial,
 )
 from qtriple.gns import (
-    GNSBasis, HalfInt, charge_of, gns_inner, gram_schmidt_basis,
-    haar_exact, haar_numeric, halfint, little_jacobi, sector_labels,
-    sector_of_label, t_matrix,
+    GNSBasis, GNSVector, HalfInt, basis_orthonormality_defect, charge_of,
+    gns_inner, gram_schmidt_basis, haar_exact, haar_numeric, halfint,
+    little_jacobi, sector_labels, sector_of_label, t_matrix,
 )
 from qtriple.rep import TruncationSpec
 from qtriple.ncpoly import normalize, Word
 
+# q values at which the expanded route keeps its digits on moderate sectors
+MODERATE_Q = (0.3, 0.5, 0.9)
+
 
 def mono(qp, a, b, bs, c=1.0):
     return NCPolynomial.monomial(qp, CanonicalMonomial(a, b, bs), c)
+
+
+def expanded_inner(u, v):
+    """h(u* v) through the whole product adjoint(u) v: the oracle for the
+    charge-blocked pairing.  Exact in exact arithmetic, but its alpha
+    contractions cancel in deep sectors, so compare on moderate ones."""
+    pu = u.poly if isinstance(u, GNSVector) else u
+    pv = v.poly if isinstance(v, GNSVector) else v
+    return haar_exact(mul(adjoint(pu), pv))
+
+
+def pairing_gap(qp, n_pairs=100):
+    """Worst |gns_inner - expanded route| over random pairs of degree <= 3,
+    relative to the Cauchy-Schwarz scale sqrt(<u,u> <v,v>) of the oracle."""
+    rng = random.Random(17)
+    worst = 0.0
+    for _ in range(n_pairs):
+        u = random_polynomial(rng, qp, max_degree=3, n_terms=4)
+        v = random_polynomial(rng, qp, max_degree=3, n_terms=4)
+        scale = math.sqrt(expanded_inner(u, u).real * expanded_inner(v, v).real)
+        worst = max(worst, abs(gns_inner(u, v) - expanded_inner(u, v)) / scale)
+    return worst
 
 
 class TestHalfInt:
@@ -123,6 +150,14 @@ class TestInnerProduct:
         expected = (1 - q * q) / (1 - q ** 4)
         assert gns_inner(parse("b", qp), parse("b", qp)) == pytest.approx(expected, abs=1e-15)
 
+    def test_degree_cap_applies_to_the_pair(self):
+        from qtriple.ncpoly import DegreeOverflowError
+        qp = QParam(0.5, max_degree=5)
+        u, v = parse("a^2 b", qp), parse("a b b'", qp)
+        assert gns_inner(u, parse("a b", qp)) == gns_inner(u, parse("a b", qp))
+        with pytest.raises(DegreeOverflowError):
+            gns_inner(u, v)
+
     def test_sesquilinear(self, qp):
         rng = random.Random(7)
         x = random_polynomial(rng, qp, max_degree=3, n_terms=3)
@@ -163,6 +198,21 @@ class TestCharges:
                 u = NCPolynomial.monomial(qp, rng.choice(sectors[ki]))
                 v = NCPolynomial.monomial(qp, rng.choice(sectors[kj]))
                 assert gns_inner(u, v) == 0.0
+
+    def test_cross_charge_random_pairs_exact_zero_on_both_routes(self):
+        # elements with disjoint charge supports: the charge-blocked pairing
+        # multiplies nothing, and the expanded product has no charge-(0,0) term
+        rng = random.Random(23)
+        for q in MODERATE_Q:
+            qp = QParam(q)
+            for _ in range(100):
+                u = random_polynomial(rng, qp, max_degree=4, n_terms=4)
+                v = random_polynomial(rng, qp, max_degree=4, n_terms=4)
+                shared = {m.charges for m in u.terms} & {m.charges for m in v.terms}
+                v = NCPolynomial(qp, {m: c for m, c in v.terms.items()
+                                      if m.charges not in shared})
+                assert gns_inner(u, v) == 0.0
+                assert expanded_inner(u, v) == 0.0
 
 
 class TestLittleJacobi:
@@ -213,11 +263,13 @@ class TestGramSchmidt:
         assert set(m for m in vec.terms) == {CanonicalMonomial(1, 0, 0)}
 
     def test_orthonormal_up_to_l_three_halves(self, qp):
+        # measured on the expanded route, independent of the sector moments
+        # that built the basis
         basis = gram_schmidt_basis(3, qp)
         labels = basis.labels()
         for i, li in enumerate(labels):
             for lj in labels[i:]:
-                val = gns_inner(basis.entries[li], basis.entries[lj])
+                val = expanded_inner(basis.entries[li], basis.entries[lj])
                 target = 1.0 if li == lj else 0.0
                 assert abs(val - target) <= 1e-10
 
@@ -251,17 +303,37 @@ class TestGramSchmidt:
             assert np.min(np.linalg.eigvalsh(gram)) > 0.0
 
     def test_moment_oracle_matches_engine(self, qp):
-        # on moderate sectors the Jackson sum and the rewriting-engine
+        # on moderate sectors the Jackson sum and the expanded-product
         # pairing agree to near machine precision
         from qtriple.gns import sector_moment, _sector_base_monomial
         for (c1, c2) in [(0, 0), (1, 0), (-2, 1), (2, -2), (0, 3)]:
             for s, t in [(0, 0), (0, 1), (1, 2)]:
                 u = NCPolynomial.monomial(qp, _sector_base_monomial(c1, c2, s))
                 v = NCPolynomial.monomial(qp, _sector_base_monomial(c1, c2, t))
-                engine = gns_inner(u, v)
+                engine = expanded_inner(u, v)
                 oracle = sector_moment(c1, c2, s + t, qp)
                 assert engine.real == pytest.approx(oracle, rel=1e-10)
                 assert abs(engine.imag) < 1e-12
+
+    def test_orthonormality_defect_sees_foreign_charge_term(self, qp):
+        # a 1e-6 term of charge (1, 0) in the charge-(0,0) entry e^(1)_00
+        # meets e^(1/2)_{-1/2,-1/2} = a / |a| there: a cross-pairing of
+        # 1e-6 |a|, far above the 1e-10 tolerance of `verify gns`
+        basis = gram_schmidt_basis(4, qp)
+        assert basis_orthonormality_defect(basis, qp) <= 1e-10
+        entries = dict(basis.entries)
+        stray = NCPolynomial.monomial(qp, CanonicalMonomial(1, 0, 0), 1e-6)
+        entries[(2, 0, 0)] = GNSVector(entries[(2, 0, 0)].poly + stray)
+        spoiled = GNSBasis(basis.lmax, entries, basis.norms)
+        assert basis_orthonormality_defect(spoiled, qp) > 1e-10
+
+    def test_orthonormality_defect_matches_expanded_gram(self, qp):
+        basis = gram_schmidt_basis(3, qp)
+        labels = basis.labels()
+        gram = np.array([[expanded_inner(basis.entries[li], basis.entries[lj])
+                          for lj in labels] for li in labels])
+        dense = float(np.max(np.abs(gram - np.eye(len(labels)))))
+        assert abs(basis_orthonormality_defect(basis, qp) - dense) <= 1e-12
 
     def test_json_roundtrip(self, qp):
         basis = gram_schmidt_basis(2, qp)
@@ -289,15 +361,17 @@ class TestMatrixCoefficients:
             t_matrix(1, 0.5, 0, qp)
 
     def test_unit_norm(self, qp):
+        # t_matrix normalizes with the moment pairing; measure on the
+        # expanded route
         for (l, j, k) in [(1, 0, 0), (1.5, 0.5, -0.5), (2, -1, 1)]:
             vec = t_matrix(l, j, k, qp)
-            assert gns_inner(vec, vec).real == pytest.approx(1.0, abs=1e-12)
+            assert expanded_inner(vec, vec).real == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_with_gram_schmidt(self, qp_any):
         basis = gram_schmidt_basis(3, qp_any)
         for (l2, j2, k2) in basis.labels():
             tv = t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp_any)
-            overlap = abs(gns_inner(tv, basis.entries[(l2, j2, k2)]))
+            overlap = abs(expanded_inner(tv, basis.entries[(l2, j2, k2)]))
             assert overlap >= 1.0 - 1e-8
 
     def test_deep_sector_overlap_via_stable_pairing(self, qp_any):
@@ -311,13 +385,28 @@ class TestMatrixCoefficients:
             ov = abs(sector_pair(tv.poly, basis.entries[(l2, j2, k2)].poly, qp_any))
             assert ov >= 1.0 - 1e-8
 
-    def test_sector_pair_matches_engine_on_moderate_sectors(self, qp):
+    def test_sector_pair_matches_engine_on_moderate_sectors(self):
         from qtriple.gns import sector_pair
-        for (l, j, k) in [(1, 0, 0), (1.5, 0.5, -0.5), (2, -1, 1)]:
-            tv = t_matrix(l, j, k, qp).poly
-            stable = sector_pair(tv, tv)
-            engine = gns_inner(tv, tv)
-            assert engine.real == pytest.approx(stable.real, rel=1e-10)
+        for q in MODERATE_Q:
+            qp = QParam(q)
+            for (l, j, k) in [(1, 0, 0), (1.5, 0.5, -0.5), (2, -1, 1)]:
+                tv = t_matrix(l, j, k, qp).poly
+                engine = expanded_inner(tv, tv)
+                assert sector_pair(tv, tv).real == pytest.approx(engine.real, rel=1e-10)
+                assert gns_inner(tv, tv).real == pytest.approx(engine.real, rel=1e-10)
+
+    @pytest.mark.parametrize("q", MODERATE_Q)
+    def test_pairing_matches_expanded_route(self, q):
+        assert pairing_gap(QParam(q)) <= 1e-11
+
+    def test_pairing_check_catches_a_wrong_q_power(self, monkeypatch):
+        # one x power too many in every Jackson summand: each node weight
+        # gains a factor q^2, and the pairing must part from the oracle
+        true_moment = gns._moment
+        monkeypatch.setattr(gns, "_moment",
+                            lambda c1, c2, p, q: true_moment(c1, c2, p + 1, q))
+        for q in MODERATE_Q:
+            assert pairing_gap(QParam(q)) > 1e-11
 
     def test_adjoint_symmetry_between_regions(self, qp):
         # the involution carries the ray of (l, j, k) to the ray of

@@ -6,10 +6,11 @@ import pytest
 from qtriple.grammar import parse
 from qtriple.ncpoly import (
     ALPHA, ALPHA_STAR, BETA, BETA_STAR,
-    CanonicalMonomial, NCPolynomial,
+    CanonicalMonomial, NCPolynomial, QParam,
     monomials_up_to, random_polynomial, z2_act,
 )
 from qtriple.gns import HalfInt, gram_schmidt_basis
+from qtriple.rep import operator_norm
 from qtriple.triple import (
     DiracSpec, aggregate_spectrum, assemble_unoriented_triple,
     certify_covering, check_parity, commutator_matrix, commutator_norm_scan,
@@ -129,6 +130,40 @@ class TestCommutator:
         svd = np.linalg.svd(top, compute_uv=False)[0]
         (norm,) = commutator_norm_scan(x, qp, [6])
         assert abs(norm - svd) <= 1e-12 * svd
+
+    def test_norm_scan_equals_per_cutoff_rebuild(self, qp):
+        # the scan reads each cutoff as a leading block of the top-cutoff
+        # commutator; a basis and commutator rebuilt per cutoff give the
+        # very same floats
+        for expr in ("a", "a^2", "b b'"):
+            x = parse(expr, qp)
+            cutoffs = list(range(2 * x.degree(), 9))
+            rebuilt = [operator_norm(commutator_matrix(x, gram_schmidt_basis(lmax2, qp),
+                                                       DiracSpec(HalfInt(lmax2))))
+                       for lmax2 in cutoffs]
+            assert commutator_norm_scan(x, qp, cutoffs) == rebuilt
+
+    def test_unguarded_pi_is_a_contraction(self):
+        # a, b and a* act as contractions, so every compression of their
+        # left multiplication to the basis span has 2-norm <= 1
+        for q, lmax2 in ((0.3, 6), (0.5, 8)):
+            qp = QParam(q)
+            basis = gram_schmidt_basis(lmax2, qp)
+            for expr in ("a", "b", "a'"):
+                norm = np.linalg.norm(pi_matrix(parse(expr, qp), basis), 2)
+                assert norm <= 1.0 + 1e-12, (q, lmax2, expr, norm)
+
+    def test_unguarded_pi_bound_catches_a_wrong_q_power(self, monkeypatch):
+        # one x power too many in the moments of the a*-power sectors
+        # (c1 < 0): the basis and the pairing then disagree with the algebra
+        # and pi(a) stops being a contraction
+        from qtriple import gns
+        true_moment = gns._moment
+        monkeypatch.setattr(gns, "_moment", lambda c1, c2, p, q:
+                            true_moment(c1, c2, p + (c1 < 0), q))
+        qp = QParam(0.3)
+        basis = gram_schmidt_basis(6, qp)
+        assert np.linalg.norm(pi_matrix(parse("a", qp), basis), 2) > 1.0 + 1e-12
 
     def test_guard_band_requires_room(self, qp):
         basis = gram_schmidt_basis(1, qp)
