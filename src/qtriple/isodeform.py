@@ -89,21 +89,27 @@ class TorusModel:
     def lam(self) -> complex:
         return cmath.exp(2j * math.pi * float(self.theta))
 
+    @cached_property
+    def _ratio(self) -> tuple[int, int]:
+        """theta as p/d exactly (a float is a dyadic rational)."""
+        return self.theta.as_integer_ratio()
+
     def _turns(self, k: int) -> float:
-        """theta k mod 1.  theta is p/d exactly (a float is a dyadic
-        rational), so the reduction is done in integers and the phase error
-        never grows with k."""
-        p, d = self.theta.as_integer_ratio()
+        """theta k mod 1, reduced in integers so that the phase error never
+        grows with k."""
+        p, d = self._ratio
         return (p * k) % d / d
 
     def lam_pow(self, k: int) -> complex:
         return complex(np.exp(2j * np.pi * self._turns(int(k))))
 
     def lam_powers(self, k) -> np.ndarray:
-        """lambda^k elementwise for an integer exponent array."""
+        """lambda^k elementwise for an integer exponent array (the reduction
+        of `_turns`, inlined over the distinct exponents)."""
         k = np.asarray(k, dtype=np.int64)
         ks, which = np.unique(k.ravel(), return_inverse=True)
-        turns = np.array([self._turns(j) for j in ks.tolist()])
+        p, d = self._ratio
+        turns = np.array([(p * j) % d / d for j in ks.tolist()])
         return np.exp(2j * np.pi * turns)[which].reshape(k.shape)
 
     @lru_cache(maxsize=64)

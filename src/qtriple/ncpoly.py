@@ -21,22 +21,16 @@ x = b b* central in the b-part:
     x^t a^d = q^(-2td) a^d x^t                  x^t a*^d = q^(2td) a*^d x^t
     (a^k b^n b*^m)* = q^((n+m)k) a^(-k) b^m b*^n
 
-so a monomial product costs O(degree).  The module also holds the sign flip
-g: a -> -a, b -> -b, whose fixed points form the even (quantum SO(3))
-subalgebra, and the reduction of free words, a terminating rewriting system
-that is the reference the closed forms are tested against.
+so a monomial product costs O(degree).  A free word is reduced by folding
+this product over its maximal canonical runs.  The module also holds the
+sign flip g: a -> -a, b -> -b, whose fixed points form the even (quantum
+SO(3)) subalgebra.
 
-Rewrite rule set (derived from the relations above and their adjoints):
-
-    b  a   -> q^-1 a  b         b  a*  -> q a*  b
-    b* a   -> q^-1 a  b*        b* a*  -> q a*  b*
-    a* a   -> 1 - b* b          a  a*  -> 1 - q^2 b b*
-    b* b   -> b b*
-
-Contractions (the two mixed a/a* rules) strictly reduce the number of mixed
-alpha pairs, transpositions strictly reduce inversions against the letter
-order a, a* < b < b*, so rewriting terminates; uniqueness of the resulting
-normal form is checked against the faithful-representation oracle in `rep`.
+The closed forms are checked in the tests against a free-word rewriting
+engine built from the relations and their adjoints (b a -> q^-1 a b,
+a* a -> 1 - b* b, ...), run on floats and, at rational q, on exact
+fractions; the faithful representation in `rep` checks normal forms
+independently.
 """
 
 from __future__ import annotations
@@ -314,101 +308,6 @@ class NCPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# The rewriting engine
-# ---------------------------------------------------------------------------
-
-# transpositions: (left, right) -> (q exponent of the factor, swapped pair)
-_SWAPS = {
-    (BETA, ALPHA): (-1, (ALPHA, BETA)),
-    (BETA_STAR, ALPHA): (-1, (ALPHA, BETA_STAR)),
-    (BETA, ALPHA_STAR): (1, (ALPHA_STAR, BETA)),
-    (BETA_STAR, ALPHA_STAR): (1, (ALPHA_STAR, BETA_STAR)),
-    (BETA_STAR, BETA): (0, (BETA, BETA_STAR)),
-}
-
-_CONTRACTIONS = frozenset({(ALPHA_STAR, ALPHA), (ALPHA, ALPHA_STAR)})
-
-
-def normalize(word: Word, qp: QParam, stats: dict | None = None) -> NCPolynomial:
-    """Reduce a free word to its canonical-basis expansion.
-
-    Contractions (a*a, aa*) are eliminated before any transposition is
-    applied; the combined measure (mixed alpha pairs, inversion count)
-    strictly decreases at every rule application.  If ``stats`` is given,
-    the number of rule applications is accumulated under ``"steps"``.
-    """
-    q = qp.q
-    out: dict[CanonicalMonomial, complex] = {}
-    stack: list[tuple[complex, tuple[int, ...]]] = [(complex(word.coefficient), tuple(word.letters))]
-    steps = 0
-    while stack:
-        c, w = stack.pop()
-        while True:
-            pos = _first_contraction(w)
-            if pos is not None:
-                steps += 1
-                left, right = w[:pos], w[pos + 2:]
-                if w[pos] == ALPHA_STAR:  # a* a -> 1 - b* b
-                    stack.append((-c, left + (BETA_STAR, BETA) + right))
-                else:                     # a a* -> 1 - q^2 b b*
-                    stack.append((-c * q * q, left + (BETA, BETA_STAR) + right))
-                w = left + right
-                continue
-            pos = _first_swap(w)
-            if pos is None:
-                break
-            steps += 1
-            exp, swapped = _SWAPS[w[pos], w[pos + 1]]
-            if exp:
-                c = c * (q ** exp)
-            w = w[:pos] + swapped + w[pos + 2:]
-        mon = _canonical_of(w)
-        out[mon] = out.get(mon, 0.0) + c
-    if stats is not None:
-        stats["steps"] = stats.get("steps", 0) + steps
-    return NCPolynomial(qp, out)
-
-
-def _first_contraction(w):
-    for i in range(len(w) - 1):
-        if (w[i], w[i + 1]) in _CONTRACTIONS:
-            return i
-    return None
-
-
-def _first_swap(w):
-    for i in range(len(w) - 1):
-        if (w[i], w[i + 1]) in _SWAPS:
-            return i
-    return None
-
-
-def _canonical_of(w: tuple[int, ...]) -> CanonicalMonomial:
-    # the word must already have shape [a... or a*...][b...][b*...]
-    i = 0
-    alpha = 0
-    if i < len(w) and w[i] == ALPHA:
-        while i < len(w) and w[i] == ALPHA:
-            alpha += 1
-            i += 1
-    elif i < len(w) and w[i] == ALPHA_STAR:
-        while i < len(w) and w[i] == ALPHA_STAR:
-            alpha -= 1
-            i += 1
-    beta = 0
-    while i < len(w) and w[i] == BETA:
-        beta += 1
-        i += 1
-    beta_star = 0
-    while i < len(w) and w[i] == BETA_STAR:
-        beta_star += 1
-        i += 1
-    if i != len(w):
-        raise AssertionError(f"word not in canonical shape: {w}")
-    return CanonicalMonomial(alpha, beta, beta_star)
-
-
-# ---------------------------------------------------------------------------
 # Closed-form product and involution
 # ---------------------------------------------------------------------------
 
@@ -437,15 +336,14 @@ def _contraction(q: float, c: int, alpha_first: bool) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def _monomial_product(qp: QParam, m1: CanonicalMonomial, m2: CanonicalMonomial):
+def _monomial_product(q: float, m1: CanonicalMonomial, m2: CanonicalMonomial):
     """The canonical expansion of m1 m2 as (monomial, coefficient) pairs.
 
     Write m_i = A_i B_i with A_i = alpha^(k_i) and B_i = b^(n_i) b*^(m_i).
     B1 moves left past A2, the alpha powers add or contract to a polynomial
     in x, and an alpha remainder right of that polynomial moves left past
-    x^t.  Coefficients at or below ``qp.prune`` are dropped.
+    x^t.  Nothing is pruned here; callers decide.
     """
-    q = qp.q
     k1, k2 = m1.alpha, m2.alpha
     k = k1 + k2
     beta, beta_star = m1.beta + m2.beta, m1.beta_star + m2.beta_star
@@ -455,16 +353,17 @@ def _monomial_product(qp: QParam, m1: CanonicalMonomial, m2: CanonicalMonomial):
     else:
         contraction = _contraction(q, min(abs(k1), abs(k2)), k1 > 0)
         remainder_right = abs(k2) > abs(k1)
-    out = []
-    for t, p in enumerate(contraction):
-        c = p * _qpow(q, passing - 2 * t * k if remainder_right else passing)
-        if abs(c) > qp.prune:
-            out.append((CanonicalMonomial(k, beta + t, beta_star + t), c))
-    return out
+    return [(CanonicalMonomial(k, beta + t, beta_star + t),
+             p * _qpow(q, passing - 2 * t * k if remainder_right else passing))
+            for t, p in enumerate(contraction)]
 
 
 def mul(x: NCPolynomial, y: NCPolynomial) -> NCPolynomial:
-    """Product in the algebra: the closed-form monomial product, bilinearly."""
+    """Product in the algebra: the closed-form monomial product, bilinearly.
+
+    Monomial-product coefficients at or below ``qp.prune`` are dropped before
+    they are scaled and summed.
+    """
     if x.qp != y.qp:
         raise ValueError("mixed deformation parameters")
     qp = x.qp
@@ -476,8 +375,61 @@ def mul(x: NCPolynomial, y: NCPolynomial) -> NCPolynomial:
                 raise DegreeOverflowError(
                     f"product degree {d1 + m2.degree} exceeds cap {qp.max_degree}")
             scale = c1 * c2
-            for mon, c in _monomial_product(qp, m1, m2):
-                acc[mon] = acc.get(mon, 0.0) + scale * c
+            for mon, c in _monomial_product(qp.q, m1, m2):
+                if abs(c) > qp.prune:
+                    acc[mon] = acc.get(mon, 0.0) + scale * c
+    return NCPolynomial(qp, acc)
+
+
+def _canonical_runs(letters: tuple[int, ...]) -> list[CanonicalMonomial]:
+    """Split a free word into its maximal runs of canonical shape
+    [a... or a*...][b...][b*...], read left to right."""
+    runs = []
+    k = n = m = 0
+    for letter in letters:
+        if letter == BETA_STAR:
+            m += 1
+            continue
+        if letter == BETA:
+            if not m:
+                n += 1
+                continue
+            step = (0, 1, 0)
+        else:
+            sign = 1 if letter == ALPHA else -1
+            if not (n or m) and k * sign >= 0:
+                k += sign
+                continue
+            step = (sign, 0, 0)
+        runs.append(CanonicalMonomial(k, n, m))
+        k, n, m = step
+    runs.append(CanonicalMonomial(k, n, m))
+    return runs
+
+
+def normalize(word: Word, qp: QParam, stats: dict | None = None) -> NCPolynomial:
+    """Reduce a free word to its canonical-basis expansion.
+
+    The word splits into maximal runs that are already canonical monomials,
+    and the closed-form monomial product folds over them left to right.
+    Intermediate coefficients are never pruned: a coefficient below
+    ``qp.prune`` can be scaled up by a later q^(-k) factor, so only the
+    result is pruned.  No degree cap applies.  If ``stats`` is given, the
+    number of monomial products is accumulated under ``"steps"``.
+    """
+    q = qp.q
+    first, *rest = _canonical_runs(word.letters)
+    acc: dict[CanonicalMonomial, complex] = {first: complex(word.coefficient)}
+    steps = 0
+    for run in rest:
+        steps += len(acc)
+        nxt: dict[CanonicalMonomial, complex] = {}
+        for mon, c in acc.items():
+            for out, p in _monomial_product(q, mon, run):
+                nxt[out] = nxt.get(out, 0.0) + c * p
+        acc = nxt
+    if stats is not None:
+        stats["steps"] = stats.get("steps", 0) + steps
     return NCPolynomial(qp, acc)
 
 

@@ -290,7 +290,7 @@ def normal_form_residual(word: Word, t: TruncationSpec, qp: QParam) -> float:
 
     The margin equals the word length (capped at the window's largest legal
     margin), so all index paths stay inside the window and the residual is
-    pure float noise when the rewrite is sound.  Words longer than
+    pure float noise when `normalize`'s product is sound.  Words longer than
     min(fock_dim - 1, z_band) can graze the edges and are not guaranteed a
     tiny residual.  A sound normal form shares the word's sector, so the
     residual is a weighted partial permutation and `norm_bound` is its norm;

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from qtriple import cli
+from qtriple import cli, ncpoly
 from qtriple.cli import main
 from qtriple.rep import TruncationSpec, load_matrix, represent
 from qtriple.grammar import parse
@@ -117,6 +117,16 @@ class TestVerify:
         assert report["config"]["seed"] == 7
         assert report["config"]["q"] == 0.5
         assert "tolerances" in report["config"]
+
+    def test_normal_form_oracle_catches_a_wrong_q_power(self, capsys, monkeypatch):
+        # every nontrivial passing factor of the closed-form product one power
+        # of q off: normalize's fold then disagrees with the representation
+        monkeypatch.setattr(ncpoly, "_qpow", lambda q, e: q ** (e + 1) if e else 1.0)
+        code, out, _ = run(capsys, "verify", "relations")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert not checks["normal-form oracle (200 words)"]["pass"]
+        assert all(c["pass"] for n, c in checks.items() if n.startswith("relation "))
 
     def test_impossible_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "relations", "--tol", "relations=1e-30",

@@ -1,9 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracle
 from qtriple import ncpoly
 from qtriple.ncpoly import (
     ALPHA, ALPHA_STAR, BETA, BETA_STAR,
@@ -36,16 +38,50 @@ def oracle_gap(got, want):
 
 
 def product_oracle_gap(qp, max_degree):
-    """Worst gap of mul from normalizing the concatenated letters, over every
-    pair of canonical monomials of degree <= max_degree."""
+    """Worst gap of mul, and of normalize on the concatenated letters, from
+    the rewriter's normal form, over every pair of canonical monomials of
+    degree <= max_degree."""
     mons = monomials_up_to(max_degree)
     polys = [NCPolynomial.monomial(qp, m) for m in mons]
     worst = 0.0
     for m1, x in zip(mons, polys):
         for m2, y in zip(mons, polys):
-            want = normalize(Word(m1.letters() + m2.letters()), qp)
-            worst = max(worst, oracle_gap(mul(x, y), want))
+            word = Word(m1.letters() + m2.letters())
+            want = oracle.normalize(word, qp)
+            worst = max(worst, oracle_gap(mul(x, y), want), oracle_gap(normalize(word, qp), want))
     return worst
+
+
+EXACT_Q = Fraction(1, 2)
+
+
+def decode(text):
+    """Letters of a word written with a = a, A = a*, b = b, B = b*."""
+    return tuple("aAbB".index(ch) for ch in text)
+
+
+@functools.cache
+def exact_rewrite(letters):
+    return oracle.rewrite(letters, EXACT_Q)
+
+
+def exact_gap(qp, letters, got):
+    """Gap of ``got`` from the exact rewrite at q = 1/2, pruned at ``qp.prune``,
+    relative to its largest coefficient; inf when the supports differ."""
+    exact = exact_rewrite(letters)
+    kept = {m: c for m, c in exact.items() if abs(c) > qp.prune}
+    if got.terms.keys() != kept.keys():
+        return math.inf
+    if not kept:
+        return 0.0
+    scale = max(abs(c) for c in kept.values())
+    return float(max(abs(got.coeff(m) - complex(c)) for m, c in kept.items()) / scale)
+
+
+def long_random_words(seed, count):
+    rng = random.Random(seed)
+    return [tuple(rng.choice(ncpoly.LETTERS) for _ in range(rng.randint(16, 24)))
+            for _ in range(count)]
 
 
 def contraction_exact(q, k, alpha_first):
@@ -119,22 +155,27 @@ class TestNormalize:
 
     def test_termination_step_bound(self, qp):
         # every rewrite shrinks (mixed alpha pairs, inversion count); the
-        # observed step count stays below length^3 on random words
+        # oracle's step count stays below length^3 on random words.  The
+        # product fold makes at most one monomial product per (run, term),
+        # and every term shares the word's alpha charge, so fewer than
+        # length^2 products.
         rng = random.Random(7)
         for _ in range(400):
             w = random_word(rng, max_len=12, min_len=2)
-            stats = {}
+            stats, oracle_stats = {}, {}
             normalize(w, qp, stats=stats)
-            assert stats["steps"] <= len(w.letters) ** 3
+            oracle.rewrite(w.letters, qp.q, stats=oracle_stats)
+            assert stats["steps"] <= len(w.letters) ** 2
+            assert oracle_stats["steps"] <= len(w.letters) ** 3
 
     def test_confluence_proxy(self, qp_any):
-        # normalizing factors then multiplying agrees with normalizing the
-        # concatenation, for random free words
+        # normalizing factors then multiplying agrees with the rewriter's
+        # normal form of the concatenation, for random free words
         rng = random.Random(11)
         for _ in range(60):
             u = random_word(rng, max_len=6)
             v = random_word(rng, max_len=6)
-            joint = normalize(Word(u.letters + v.letters), qp_any)
+            joint = oracle.normalize(Word(u.letters + v.letters), qp_any)
             split = mul(normalize(u, qp_any), normalize(v, qp_any))
             assert joint.allclose(split, 1e-9)
 
@@ -199,7 +240,7 @@ class TestClosedFormAgainstRewriter:
         for m in monomials_up_to(8):
             starred = tuple(STARRED[l] for l in reversed(m.letters()))
             got = adjoint(NCPolynomial.monomial(qp, m))
-            assert oracle_gap(got, normalize(Word(starred), qp)) <= ORACLE_TOL, m
+            assert oracle_gap(got, oracle.normalize(Word(starred), qp)) <= ORACLE_TOL, m
 
     @pytest.mark.parametrize("alpha_first", [True, False])
     def test_alpha_contractions_match_exact_products(self, alpha_first):
@@ -234,6 +275,62 @@ class TestClosedFormAgainstRewriter:
         # one power of q off
         monkeypatch.setattr(ncpoly, "_qpow", lambda q, e: q ** (e + 1) if e else 1.0)
         assert product_oracle_gap(QParam(0.5), 3) > ORACLE_TOL
+
+
+class TestExactOracle:
+    """normalize at q = 0.5 against the rewriter run on Fraction(1, 2)."""
+
+    @pytest.mark.parametrize("text", [
+        # words of the algebra benchmark (seed 1, word 63; seed 3, word 46)
+        # that a letter-by-letter fold through mul, pruning every
+        # intermediate product, gets wrong
+        "aBABbAaaaBBAAABbAAbabaB",
+        "BBBbBABBAbAbAbbAAaaBAaaA",
+    ])
+    def test_words_an_intermediate_pruning_fold_gets_wrong(self, text):
+        qp = QParam(float(EXACT_Q))
+        letters = decode(text)
+        assert exact_gap(qp, letters, normalize(Word(letters), qp)) <= ORACLE_TOL
+
+    def test_random_long_words(self):
+        qp = QParam(float(EXACT_Q))
+        for letters in long_random_words(29, 200):
+            assert exact_gap(qp, letters, normalize(Word(letters), qp)) <= ORACLE_TOL, letters
+
+    def test_intermediate_pruning_is_caught(self, monkeypatch):
+        # every monomial product pruned at qp.prune, as a fold through mul
+        # would do: a dropped coefficient below 1e-14 can be scaled up by a
+        # later q^(-k) factor
+        qp = QParam(float(EXACT_Q))
+        true_product = ncpoly._monomial_product
+
+        def pruning(q, m1, m2):
+            return [(m, c) for m, c in true_product(q, m1, m2) if abs(c) > qp.prune]
+
+        monkeypatch.setattr(ncpoly, "_monomial_product", pruning)
+        worst = max(exact_gap(qp, letters, normalize(Word(letters), qp))
+                    for letters in long_random_words(29, 200))
+        assert worst > ORACLE_TOL
+
+    def test_random_word_split_defect(self):
+        # algebra benchmark, seed 9, word 49, cut at 19: the whole word
+        # normalizes exactly; normalize(u) prunes two exact coefficients
+        # below 1e-14, and its product with normalize(v) scales the larger
+        # one, 1.7e-16, by about q^-26 to a 1.48e-8 coefficient error
+        letters = decode("BaaAAaBAAAbaBAABABAaaaAb")
+        u, v = letters[:19], letters[19:]
+        qp = QParam(float(EXACT_Q))
+        whole = normalize(Word(letters), qp)
+        assert exact_gap(qp, letters, whole) <= ORACLE_TOL
+        split = mul(normalize(Word(u), qp), normalize(Word(v), qp))
+        assert split.max_coeff_diff(whole) == pytest.approx(1.48e-8, rel=0.01)
+        pruned = sorted(abs(float(c)) for m, c in exact_rewrite(u).items()
+                        if m not in normalize(Word(u), qp).terms)
+        assert pruned == [pytest.approx(6.78e-21, rel=0.01), pytest.approx(1.68e-16, rel=0.01)]
+        # with nothing pruned the split route is exact again
+        keep_all = QParam(float(EXACT_Q), prune=0.0)
+        split = mul(normalize(Word(u), keep_all), normalize(Word(v), keep_all))
+        assert exact_gap(qp, letters, NCPolynomial(qp, split.terms)) <= ORACLE_TOL
 
 
 class TestAdjoint:
