@@ -23,6 +23,17 @@ q^(-2 c1) (the measure's support starts at x = q^(2 c1) there because
 a*^k a^k = prod (1 - q^(-2i) x) kills the first k Jackson nodes).
 Labels (l, j, k) attach to sectors through c1 = -(j+k), c2 = k - j, with
 l - max(|j|, |k|) counting depth inside the sector.
+
+The basis and operator layers work on these per-sector x-coefficient
+vectors, (depth, coefficient) pairs: `gram_schmidt_basis` turns each
+sector's coefficient list straight into its entry, `t_matrix` computes the
+little q-Jacobi coefficients as scalars, `triple.pi_matrix` groups its row
+entries' charge blocks once and pairs every column image against them, and
+`haar_numeric` reads the z = 0 column of the charge-(0, 0) words' weight
+grids.  Each gives bitwise the values of an NCPolynomial route that the
+tests keep as its oracle: `little_jacobi` on an algebra element, one
+`gns_inner` call per entry, unit columns through
+`rep.apply_poly_to_columns`.
 """
 
 from __future__ import annotations
@@ -35,7 +46,6 @@ from functools import lru_cache
 import numpy as np
 
 from .ncpoly import (
-    BETA, BETA_STAR,
     CanonicalMonomial, DegreeOverflowError, NCPolynomial, QParam, mul,
 )
 from . import rep as _rep
@@ -133,19 +143,26 @@ def haar_exact(x: NCPolynomial, qp: QParam | None = None) -> complex:
 def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec, qp: QParam | None = None) -> complex:
     """Truncated diagonal sum (1-q^2) sum_n q^(2n) <(n,0)| x |(n,0)>.
 
-    Independent of `haar_exact`: goes through the representation matrices.
-    Agreement is up to the geometric tail q^(2 fock_dim) plus edge effects.
+    Independent of `haar_exact`: goes through the representation.  Only a
+    word of displacement (0, 0), a charge-(0, 0) monomial, has diagonal
+    entries, and its entry at (n, 0) is its weight grid there; so the sum
+    runs over the z = 0 column of those words' grids, added per Fock level
+    in the order of the monomials.  The values equal those of pushing the
+    unit columns (n, 0) through `rep.apply_poly_to_columns`.  Agreement
+    with `haar_exact` is up to the geometric tail q^(2 fock_dim) plus edge
+    effects.
     """
     qp = qp or x.qp
     _require_deformed(qp)
     q = qp.q
-    cols = np.zeros((t.dim, t.fock_dim), dtype=complex)
-    for n in range(t.fock_dim):
-        cols[t.index(n, 0), n] = 1.0
-    image = _rep.apply_poly_to_columns(x, t, cols)
+    diagonal = np.zeros(t.fock_dim, dtype=complex)
+    for mon, c in x.terms.items():
+        if mon.charges == (0, 0):
+            _, _, grid = _rep._word_shift(mon.letters(), t, qp)
+            diagonal += c * grid[:, t.z_band]
     total = 0.0 + 0.0j
     for n in range(t.fock_dim):
-        total += q ** (2 * n) * image[t.index(n, 0), n]
+        total += q ** (2 * n) * diagonal[n]
     return complex((1.0 - q * q) * total)
 
 
@@ -171,11 +188,7 @@ def gns_inner(u, v, qp: QParam | None = None) -> complex:
             f"pairing degree {pu.degree() + pv.degree()} exceeds cap {pu.qp.max_degree}")
     qp = qp or pu.qp
     _require_deformed(qp)
-    bu, bv = _charge_blocks(pu), _charge_blocks(pv)
-    total = 0.0 + 0.0j
-    for charge in bu.keys() & bv.keys():
-        total += _block_pair(charge, bu[charge], bv[charge], qp.q)
-    return total
+    return _pair_blocks(_charge_blocks(pu), _charge_blocks(pv), qp.q)
 
 
 def charge_of(mon: CanonicalMonomial) -> tuple[int, int]:
@@ -187,27 +200,33 @@ def charge_of(mon: CanonicalMonomial) -> tuple[int, int]:
 # Little q-Jacobi polynomials
 # ---------------------------------------------------------------------------
 
-def little_jacobi(n: int, a: float, b: float, qsq: float, x: NCPolynomial) -> NCPolynomial:
-    """Little q-Jacobi polynomial p_n(x; a, b | qsq) evaluated at an algebra element.
-
-    Basic-hypergeometric series
-        p_n(y) = sum_k [ (Q^-n;Q)_k (a b Q^(n+1);Q)_k / ((aQ;Q)_k (Q;Q)_k) ] (Q y)^k
-    with Q = qsq.  Degree-n truncating series; the usual argument is the
-    central-like variable b b*, with which the result commutes.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    qp = x.qp
-    acc = NCPolynomial.one(qp)
-    power = NCPolynomial.one(qp)
-    coeff = 1.0
+def _jacobi_coefficients(n: int, a: float, b: float, qsq: float):
+    """The coefficients of (y^k, k = 1..n) in p_n(y; a, b | qsq), in order."""
     num1 = num2 = den1 = den2 = 1.0
     for k in range(1, n + 1):
         num1 *= 1.0 - qsq ** (-(n - k + 1))
         num2 *= 1.0 - a * b * qsq ** (n + k)
         den1 *= 1.0 - a * qsq ** k
         den2 *= 1.0 - qsq ** k
-        coeff = num1 * num2 / (den1 * den2) * qsq ** k
+        yield num1 * num2 / (den1 * den2) * qsq ** k
+
+
+def little_jacobi(n: int, a: float, b: float, qsq: float, x: NCPolynomial) -> NCPolynomial:
+    """Little q-Jacobi polynomial p_n(x; a, b | qsq) evaluated at an algebra element.
+
+    Basic-hypergeometric series
+        p_n(y) = sum_k [ (Q^-n;Q)_k (a b Q^(n+1);Q)_k / ((aQ;Q)_k (Q;Q)_k) ] (Q y)^k
+    with Q = qsq.  Degree-n truncating series; the usual argument is the
+    central-like variable b b*, with which the result commutes.  `t_matrix`
+    forms the same coefficients as scalars on a sector's x-coefficient
+    vector; this NCPolynomial route is its test oracle.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    qp = x.qp
+    acc = NCPolynomial.one(qp)
+    power = NCPolynomial.one(qp)
+    for coeff in _jacobi_coefficients(n, a, b, qsq):
         power = mul(power, x)
         acc = acc + coeff * power
     return acc
@@ -269,6 +288,14 @@ def _block_pair(charge: tuple[int, int], fu, fv, q: float) -> complex:
     c1, c2 = charge
     return sum((cs.conjugate() * ct * _moment(c1, c2, s + t, q)
                 for s, cs in fu for t, ct in fv), start=0.0 + 0.0j)
+
+
+def _pair_blocks(bu, bv, q: float) -> complex:
+    """Sum of the moment pairings over the charges two block maps share."""
+    total = 0.0 + 0.0j
+    for charge in bu.keys() & bv.keys():
+        total += _block_pair(charge, bu[charge], bv[charge], q)
+    return total
 
 
 def sector_pair(u: NCPolynomial, v: NCPolynomial, qp: QParam | None = None) -> complex:
@@ -391,15 +418,20 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
     keeps deep alpha-power sectors well-posed where the expanded
     canonical-form pairing would cancel catastrophically.  Modified
     Gram-Schmidt with one reorthogonalization pass; a pivot below 1e-12
-    times the vector's own norm raises GramSingularError.
+    times the vector's own norm raises GramSingularError.  Each entry is
+    built straight from its coefficient list over the sector's monomials.
+    Its leading coefficient is 1/|u| > 0, since no projection touches the
+    top coefficient u[depth] = 1, so no phase fix is needed.
     """
     if not 0 <= lmax2 <= LMAX2_CAP:
         raise ValueError(f"basis construction is desk-scale, need 0 <= lmax2 <= {LMAX2_CAP}")
+    _require_deformed(qp)
     entries: dict[tuple[int, int, int], GNSVector] = {}
     norms: dict[tuple[int, int, int], float] = {}
     for (c1, c2), labels in sector_labels(lmax2):
         depth_count = len(labels)
-        moments = [sector_moment(c1, c2, p, qp) for p in range(2 * depth_count - 1)]
+        monomials = [_sector_base_monomial(c1, c2, t) for t in range(depth_count)]
+        moments = [_moment(c1, c2, p, qp.q) for p in range(2 * depth_count - 1)]
         done: list[list[float]] = []
 
         def pair(u, v):
@@ -421,10 +453,8 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
             nrm = math.sqrt(norm_sq)
             e_coeffs = [ui / nrm for ui in u]
             done.append(e_coeffs)
-            poly = NCPolynomial(qp, {
-                _sector_base_monomial(c1, c2, t): c
-                for t, c in enumerate(e_coeffs) if c != 0.0})
-            entries[key] = GNSVector(_sign_fix(poly))
+            entries[key] = GNSVector(NCPolynomial(qp, {
+                mon: c for mon, c in zip(monomials, e_coeffs) if c != 0.0}))
             norms[key] = nrm
     return GNSBasis(HalfInt(lmax2), entries, norms)
 
@@ -440,22 +470,42 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     maps sector (c1, c2) to (-c1, -c2) at equal depth.  Normalization is
     numeric (unit GNS norm); the phase makes the leading coefficient
     positive, matching `gram_schmidt_basis` up to that convention.
+
+    The x-coefficients are scalars, formed with the float operations of
+    `little_jacobi` on x' = q^(-2 c1) b b*, in the same order: the k-th
+    power of the scale by repeated complex products, times the series
+    coefficient.  So the entry equals that NCPolynomial route bitwise.  The
+    norm is the sector's moment pairing of the coefficient vector; the
+    degree cap of the pairing applies.  Where cancellation at small q
+    leaves a self-pairing that is not positive, GramSingularError names
+    the sector and the depth.
     """
     l2, j2, k2 = halfint(l).twice, halfint(j).twice, halfint(k).twice
     if abs(j2) > l2 or abs(k2) > l2:
         raise ValueError(f"|j|, |k| must not exceed l, got l2={l2} j2={j2} k2={k2}")
     if (l2 - j2) % 2 or (l2 - k2) % 2:
         raise ValueError("j, k must match the half-integer class of l")
+    _require_deformed(qp)
     c1, c2 = sector_of_label(j2, k2)
     depth = (l2 - max(abs(j2), abs(k2))) // 2
     q = qp.q
-    x = mul(NCPolynomial.generator(qp, BETA), NCPolynomial.generator(qp, BETA_STAR))
-    if c1 > 0:
-        x = x * (q ** (-2 * c1))
-    poly = little_jacobi(depth, q ** (2 * abs(c2)), q ** (2 * abs(c1)), q * q, x)
-    vec = mul(NCPolynomial.monomial(qp, _sector_base_monomial(c1, c2, 0)), poly)
-    nrm = math.sqrt(sector_pair(vec, vec, qp).real)
-    return GNSVector(_sign_fix(vec * (1.0 / nrm)))
+    scale = complex(q ** (-2 * c1)) if c1 > 0 else 1.0 + 0.0j
+    power = 1.0 + 0.0j
+    coeffs = [power]
+    for coeff in _jacobi_coefficients(depth, q ** (2 * abs(c2)), q ** (2 * abs(c1)), q * q):
+        power = power * scale
+        coeffs.append(coeff * power)
+    vec = NCPolynomial(qp, {_sector_base_monomial(c1, c2, t): c for t, c in enumerate(coeffs)})
+    if 2 * vec.degree() > qp.max_degree:
+        raise DegreeOverflowError(
+            f"pairing degree {2 * vec.degree()} exceeds cap {qp.max_degree}")
+    block = _charge_blocks(vec)[(c1, c2)]
+    norm_sq = _block_pair((c1, c2), block, block, q).real
+    if not norm_sq > 0.0:
+        raise GramSingularError(
+            f"sector {(c1, c2)} depth {depth}: self-pairing {norm_sq:.3e} of the "
+            f"matrix coefficient l2={l2} j2={j2} k2={k2} is not positive")
+    return GNSVector(_sign_fix(vec * (1.0 / math.sqrt(norm_sq))))
 
 
 def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:

@@ -22,11 +22,14 @@ import numpy as np
 
 from .ncpoly import (
     ALPHA, ALPHA_STAR, BETA, BETA_STAR,
-    NCPolynomial, QParam,
+    DegreeOverflowError, NCPolynomial, QParam,
     adjoint, module_decompose, monomials_up_to, mul, random_polynomial,
     z2_act, z2_project,
 )
-from .gns import GNSBasis, HalfInt, gns_inner, gram_schmidt_basis, halfint
+from .gns import (
+    GNSBasis, HalfInt, gns_inner, gram_schmidt_basis, halfint,
+    _charge_blocks, _pair_blocks, _require_deformed,
+)
 from .rep import operator_norm
 from .report import CheckResult, all_passed
 
@@ -99,25 +102,39 @@ def pi_matrix(a: NCPolynomial, basis: GNSBasis,
 
     Entry (r, c) is <e_r, a e_c>.  Entries between charge-incompatible
     sectors vanish exactly (the pairing's charge selection rule) and are
-    skipped rather than computed.
+    skipped rather than computed.  The row entries' charge blocks are
+    grouped once per call and each column image's blocks once per column;
+    every entry is then the moment pairing of the blocks the two share, so
+    it equals `gns_inner(e_r, a e_c)` bitwise, a stray term in a foreign
+    charge included.  The pairing's guarantees hold: mixed q raises
+    ValueError, and a row degree plus an image degree above the cap raises
+    DegreeOverflowError.
     """
     rows = list(row_labels if row_labels is not None else basis.labels())
     cols = list(col_labels if col_labels is not None else basis.labels())
+    qp = a.qp
+    _require_deformed(qp)
     a_charges = {m.charges for m in a.terms}
-
-    def charge(lab):
-        return next(iter(basis.entries[lab].poly.terms)).charges
-
+    row_polys = [basis.entries[lab].poly for lab in rows]
+    if any(p.qp != qp for p in row_polys):
+        raise ValueError("mixed deformation parameters")
+    row_blocks = [_charge_blocks(p) for p in row_polys]
+    row_degrees = [p.degree() for p in row_polys]
     rows_of: dict[tuple[int, int], list[int]] = {}
-    for ri, rlab in enumerate(rows):
-        rows_of.setdefault(charge(rlab), []).append(ri)
+    for ri, p in enumerate(row_polys):
+        rows_of.setdefault(next(iter(p.terms)).charges, []).append(ri)
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
     for ci, clab in enumerate(cols):
-        image = mul(a, basis.entries[clab].poly)
-        c1, c2 = charge(clab)
+        entry = basis.entries[clab].poly
+        image = mul(a, entry)
+        blocks, degree = _charge_blocks(image), image.degree()
+        c1, c2 = next(iter(entry.terms)).charges
         for (da, db) in a_charges:
             for ri in rows_of.get((c1 + da, c2 + db), ()):
-                mat[ri, ci] = gns_inner(basis.entries[rows[ri]], image)
+                if row_degrees[ri] + degree > qp.max_degree:
+                    raise DegreeOverflowError(
+                        f"pairing degree {row_degrees[ri] + degree} exceeds cap {qp.max_degree}")
+                mat[ri, ci] = _pair_blocks(row_blocks[ri], blocks, qp.q)
     return mat
 
 

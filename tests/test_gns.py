@@ -1,10 +1,14 @@
+import contextlib
+import io
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from qtriple import gns
+import routes
+from qtriple import cli, gns, rep
 from qtriple.grammar import parse
 from qtriple.ncpoly import (
     BETA,
@@ -12,7 +16,7 @@ from qtriple.ncpoly import (
     adjoint, monomials_up_to, mul, random_polynomial,
 )
 from qtriple.gns import (
-    GNSBasis, GNSVector, HalfInt, basis_orthonormality_defect, charge_of,
+    GNSBasis, GNSVector, GramSingularError, HalfInt, basis_orthonormality_defect, charge_of,
     gns_inner, gram_schmidt_basis, haar_exact, haar_numeric, halfint,
     little_jacobi, sector_labels, sector_of_label, t_matrix,
 )
@@ -34,6 +38,11 @@ def expanded_inner(u, v):
     pu = u.poly if isinstance(u, GNSVector) else u
     pv = v.poly if isinstance(v, GNSVector) else v
     return haar_exact(mul(adjoint(pu), pv))
+
+
+def same_bits(u, v):
+    """Equal coefficients bit for bit, signed zeros included."""
+    return json.dumps(u.to_json_dict()) == json.dumps(v.to_json_dict())
 
 
 def pairing_gap(qp, n_pairs=100):
@@ -126,6 +135,41 @@ class TestHaarNumeric:
         t = TruncationSpec(16, 8)
         p = parse("b b'", qp)
         assert abs(haar_exact(p) - haar_numeric(p, t)) <= 2 * qp.q ** (4 * t.fock_dim)
+
+    @pytest.mark.parametrize("q", MODERATE_Q)
+    def test_equals_unit_column_route(self, q):
+        # the z = 0 column of the diagonal words' grids, summed per level in
+        # the same order, against unit columns through apply_poly_to_columns
+        qp = QParam(q)
+        t = TruncationSpec(24, 6)
+        for m in monomials_up_to(6):
+            p = NCPolynomial.monomial(qp, m)
+            assert haar_numeric(p, t) == routes.haar_numeric(p, t), m
+        rng = random.Random(5)
+        for _ in range(20):
+            x = random_polynomial(rng, qp, max_degree=6, n_terms=6)
+            assert haar_numeric(x, t) == routes.haar_numeric(x, t)
+
+    def test_wrong_b_weight_fails_exactly_the_haar_check(self, monkeypatch):
+        # q^2 in place of q at Fock level 1: of the `verify gns` checks only
+        # "haar exact vs numeric" goes through the representation
+        def failing_checks():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli.main(["verify", "gns", "--q", "0.5"])
+            return [c["name"] for c in json.loads(out.getvalue())["checks"] if not c["pass"]]
+
+        assert failing_checks() == []
+        exact = rep._weights
+
+        def wrong_power(t, q):
+            wa, wb = exact(t, q)
+            wb = wb.copy()
+            wb[1] = q ** 2
+            return wa, wb
+
+        monkeypatch.setattr(rep, "_weights", wrong_power)
+        assert failing_checks() == ["haar exact vs numeric (deg <= 6)"]
 
     def test_agreement_all_monomials_degree6(self, qp_any):
         # the tail bound 10 q^(2 N_F) drops below double resolution for
@@ -287,6 +331,18 @@ class TestGramSchmidt:
             assert len(charges) == 1
             assert charges.pop() == sector_of_label(j2, k2)
 
+    @pytest.mark.parametrize("q, lmax2", [(0.3, 6), (0.5, 8), (0.8, 8)])
+    def test_entries_equal_sign_fix_route(self, q, lmax2):
+        # the leading coefficient is 1/|u| > 0 already, so building each
+        # entry straight from its coefficient list changes no bit
+        qp = QParam(q)
+        basis = gram_schmidt_basis(lmax2, qp)
+        entries, norms = routes.gram_schmidt_entries(lmax2, qp)
+        assert basis.labels() == sorted(entries)
+        for key, vec in entries.items():
+            assert same_bits(basis.entries[key].poly, vec.poly), key
+            assert basis.norms[key] == norms[key]
+
     def test_desk_scale_cap(self, qp):
         with pytest.raises(ValueError):
             gram_schmidt_basis(9, qp)
@@ -353,6 +409,44 @@ class TestMatrixCoefficients:
     def test_spin_half_bottom_is_alpha(self, qp):
         vec = t_matrix(0.5, -0.5, -0.5, qp).poly
         assert set(vec.terms) == {CanonicalMonomial(1, 0, 0)}
+
+    @pytest.mark.parametrize("q", (0.3, 0.5, 0.8))
+    def test_equals_little_jacobi_route_bitwise(self, q):
+        qp = QParam(q)
+        for _, labels in sector_labels(8):
+            for (l2, j2, k2) in labels:
+                label = (HalfInt(l2), HalfInt(j2), HalfInt(k2))
+                assert same_bits(t_matrix(*label, qp).poly,
+                                 routes.t_matrix(*label, qp).poly), (l2, j2, k2)
+
+    @pytest.mark.parametrize("q, seen", [(0.1, [(6, 0, 0), (8, 0, 2), (7, 1, -3)]),
+                                         (0.2, [(8, 0, 0), (8, 4, -4), (7, 1, -1)])])
+    def test_small_q_self_pairing_raises_gram_singular(self, q, seen):
+        # cancellation in the deep sectors leaves self-pairings <= 0: each
+        # such label raises GramSingularError and no label raises another
+        # error, such as a division by zero or a math domain error
+        qp = QParam(q)
+        singular = []
+        for _, labels in sector_labels(8):
+            for (l2, j2, k2) in labels:
+                try:
+                    t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp)
+                except GramSingularError:
+                    singular.append((l2, j2, k2))
+        assert set(seen) <= set(singular)
+
+    def test_small_q_error_names_sector_and_depth(self):
+        qp = QParam(0.2)
+        with pytest.raises(GramSingularError, match=r"sector \(0, 0\) depth 4: self-pairing"):
+            t_matrix(4, 0, 0, qp)
+        with pytest.raises(GramSingularError, match=r"sector \(0, -4\) depth 2"):
+            t_matrix(4, 2, -2, qp)
+
+    def test_pairing_degree_cap(self, qp):
+        # depth 17 in the charge-(0,0) sector: the self-pairing has degree 68
+        from qtriple.ncpoly import DegreeOverflowError
+        with pytest.raises(DegreeOverflowError):
+            t_matrix(17, 0, 0, qp)
 
     def test_label_validation(self, qp):
         with pytest.raises(ValueError):

@@ -3,13 +3,14 @@ import random
 import numpy as np
 import pytest
 
+import routes
 from qtriple.grammar import parse
 from qtriple.ncpoly import (
     ALPHA, ALPHA_STAR, BETA, BETA_STAR,
     CanonicalMonomial, NCPolynomial, QParam,
     monomials_up_to, random_polynomial, z2_act,
 )
-from qtriple.gns import HalfInt, gram_schmidt_basis
+from qtriple.gns import GNSBasis, GNSVector, HalfInt, gram_schmidt_basis
 from qtriple.rep import operator_norm
 from qtriple.triple import (
     DiracSpec, aggregate_spectrum, assemble_unoriented_triple,
@@ -93,6 +94,49 @@ class TestCommutator:
                       charge[rlab][1] - charge[clab][1])
                 if dc != (1, 0):
                     assert mat[ri, ci] == 0.0
+
+    # the benchmark's seven scan elements and two with several charges
+    BLOCK_PI_ELEMENTS = ("a", "b", "a^2", "a b", "a b'", "b b'", "a' b",
+                         "a + b", "a b' + 2 b' a - a'")
+
+    @pytest.mark.parametrize("lmax2", [3, 6])
+    def test_block_pi_equals_per_entry_pairing(self, qp, lmax2):
+        basis = gram_schmidt_basis(lmax2, qp)
+        rows = basis.labels()
+        guarded = [lab for lab in rows if lab[0] <= lmax2 - 2]
+        for expr in self.BLOCK_PI_ELEMENTS:
+            x = parse(expr, qp)
+            for cols in (rows, guarded):
+                got = pi_matrix(x, basis, rows, cols)
+                want = routes.pi_matrix(x, basis, rows, cols)
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), expr
+
+    def test_block_pi_pairs_a_foreign_charge_term(self, qp):
+        # a 1e-6 term of charge (1, -1) in the charge-(0,0) row e^(1)_00:
+        # pi(a + b) pairs it with the a-part of the images of the charge
+        # (0, -1) columns, whose b-part selects that row
+        basis = gram_schmidt_basis(6, qp)
+        entries = dict(basis.entries)
+        stray = NCPolynomial.monomial(qp, CanonicalMonomial(1, 0, 1), 1e-6)
+        entries[(2, 0, 0)] = GNSVector(entries[(2, 0, 0)].poly + stray)
+        spoiled = GNSBasis(basis.lmax, entries, basis.norms)
+        for expr in self.BLOCK_PI_ELEMENTS:
+            x = parse(expr, qp)
+            got = pi_matrix(x, spoiled)
+            assert got.tobytes() == routes.pi_matrix(x, spoiled).tobytes(), expr
+        x = parse("a + b", qp)
+        gap = np.max(np.abs(pi_matrix(x, spoiled) - pi_matrix(x, basis)))
+        assert 1e-8 < gap < 1e-5
+
+    def test_block_pi_keeps_the_pairing_guarantees(self, qp):
+        from qtriple.ncpoly import DegreeOverflowError
+        basis = gram_schmidt_basis(4, qp)
+        with pytest.raises(ValueError, match="mixed deformation"):
+            pi_matrix(parse("a", QParam(0.3)), basis)
+        capped = QParam(0.5, max_degree=5)
+        small = gram_schmidt_basis(4, capped)
+        with pytest.raises(DegreeOverflowError, match="pairing degree"):
+            pi_matrix(parse("a", capped), small)
 
     def test_guarded_columns_expand_completely(self, qp):
         # Parseval on guarded columns: |a e|^2 equals the column sum of
