@@ -19,13 +19,13 @@ from .rep import (
     represent,
 )
 from .gns import (
-    GNSBasis, GNSVector, GramSingularError, HalfInt, charge_of, gns_inner,
+    GNSBasis, GNSVector, GramSingularError, HalfInt, gns_inner,
     gram_schmidt_basis, haar_exact, haar_numeric, halfint, little_jacobi,
     t_matrix,
 )
 from .triple import (
     CoveringCert, DiracSpec, assemble_unoriented_triple, certify_covering,
-    check_parity, commutator_matrix, dirac_apply, hilbert_module_product,
+    check_parity, commutator_matrix, hilbert_module_product,
     spectrum_rows, summability_scan,
 )
 from .isodeform import (

@@ -303,8 +303,7 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
     tol_orth = cfg.tol("orthonormality")
     worst = gns.basis_orthonormality_defect(basis, qp)
     checks.append(CheckResult("orthonormality", worst <= tol_orth,
-                              f"lmax2 {lmax2}; charge-blocked Gram, moment pairing "
-                              "inside each charge sector", tol_orth, worst))
+                              f"lmax2 {lmax2}; Gram of the node vectors", tol_orth, worst))
 
     counts_ok = all(sum(1 for lab in labels if lab[0] == l2) == (l2 + 1) ** 2
                     for l2 in range(lmax2 + 1))
@@ -315,10 +314,10 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
     worst = 0.0
     for (l2, j2, k2) in labels:
         tvec = gns.t_matrix(gns.HalfInt(l2), gns.HalfInt(j2), gns.HalfInt(k2), qp)
-        overlap = abs(gns.sector_pair(tvec.poly, basis.entries[(l2, j2, k2)].poly, qp))
+        overlap = abs(gns.sector_pair(tvec, basis.entries[(l2, j2, k2)], qp))
         worst = max(worst, 1.0 - overlap)
     checks.append(CheckResult("matrix coefficients match Gram-Schmidt", worst <= tol_overlap,
-                              "1 - |overlap|, moment pairing", tol_overlap, worst))
+                              "1 - |overlap|, node pairing", tol_overlap, worst))
     return checks
 
 

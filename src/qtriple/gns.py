@@ -9,38 +9,39 @@ i.e. a Jackson integral in the variable x = b b*.  The factor (1 - q^2)
 normalizes h(1) = 1 (the bare diagonal sum gives 1/(1 - q^2)); this
 normalization choice is deliberate and is what every value below assumes.
 
-The GNS pairing <u, v> = h(u* v) vanishes across distinct charge sectors
-(pairs (alpha exponent, beta minus beta* exponent)), which is exact here
-because the closed form only feeds on charge-(0,0) monomials.  So the
-pairing is computed charge-blocked: the terms of u and v are grouped by
-charge, and only the sectors they share are paired, never expanding the
-product u* v.  Inside the sector with charges (c1, c2) an element is its
-base monomial times f(x), and the pairing is the positive moment
-functional in x (`sector_moment`, memoized).  Its orthogonal polynomials
-are little q-Jacobi polynomials in base q^2 with parameters a = q^(2|c2|),
-b = q^(2|c1|) and, on the c1 > 0 branch, the argument rescaled by
-q^(-2 c1) (the measure's support starts at x = q^(2 c1) there because
-a*^k a^k = prod (1 - q^(-2i) x) kills the first k Jackson nodes).
-Labels (l, j, k) attach to sectors through c1 = -(j+k), c2 = k - j, with
-l - max(|j|, |k|) counting depth inside the sector.
+The GNS space is a purified Fock representation: with `rep`'s action, h is
+the vector state of pi (x) 1 at Omega = sum_n sqrt((1 - q^2) q^(2n))
+e_(n, 0) (x) f_n.  The canonical monomial m = a^k b^i b*^j sends e_(f, z)
+to W_m(f) e_(f - k, z + i - j), where W_m(f) is q^(f (i + j)) times
+prod_{r < k} sqrt(1 - q^(2(f - r))) for a^k, prod_{r = 1..|k|}
+sqrt(1 - q^(2(f + r))) for a*^|k|.  In the charge sector (c1, c2) (alpha
+exponent, beta minus beta* exponent) an element is its base monomial times
+f(x), and it sends Omega to a vector living only at (fock n - c1, z c2, n).
+So each sector is l2 over the node index n, and the element is its node
+vector g[n] = sqrt((1 - q^2) q^(2n)) W_base(n) f(x_n), x_n = q^(2n), on the
+nodes down to 1e-18 plus 16 padding nodes (a grid that depends on q only).
+Node vectors are stored without the constant sqrt(1 - q^2), which every
+pairing multiplies back as 1 - q^2.  The pairing is the node dot product
+inside each shared sector; distinct sectors are orthogonal exactly.  pi(m)
+is diagonal in n: it sends sector (c1, c2) to (c1 + k, c2 + i - j) and
+scales node n by W_m(n - c1) (`action_weights`).
 
-The basis and operator layers work on these per-sector x-coefficient
-vectors, (depth, coefficient) pairs: `gram_schmidt_basis` turns each
-sector's coefficient list straight into its entry, `t_matrix` computes the
-little q-Jacobi coefficients as scalars, `triple.pi_matrix` groups its row
-entries' charge blocks once and pairs every column image against them, and
-`haar_numeric` reads the z = 0 column of the charge-(0, 0) words' weight
-grids.  Each gives bitwise the values of an NCPolynomial route that the
-tests keep as its oracle: `little_jacobi` on an algebra element, one
-`gns_inner` call per entry, unit columns through
-`rep.apply_poly_to_columns`.
+The orthonormal basis is Gram-Schmidt on node vectors (discretized
+Stieltjes), orthonormal to rounding at every depth.  Each entry carries its
+node vectors, which every pairing reads, and x-coefficients for printing,
+parity and the algebra checks (they cancel in deep sectors).  Labels
+(l, j, k) attach to sectors through c1 = -(j+k), c2 = k - j, with
+l - max(|j|, |k|) counting depth inside the sector.  The orthogonal
+polynomials are little q-Jacobi polynomials in base q^2 with parameters
+a = q^(2|c2|), b = q^(2|c1|) and, on the c1 > 0 branch, the argument
+rescaled by q^(-2 c1) (a*^k a^k = prod (1 - q^(-2i) x) kills the first k
+nodes); `t_matrix` builds them from that closed form.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +53,7 @@ from . import rep as _rep
 
 __all__ = [
     "HalfInt", "halfint", "GNSVector", "GNSBasis", "GramSingularError",
-    "haar_exact", "haar_numeric", "gns_inner", "charge_of",
+    "haar_exact", "haar_numeric", "gns_inner", "action_weights",
     "little_jacobi", "gram_schmidt_basis", "t_matrix",
     "sector_of_label", "label_of_sector", "sector_labels",
 ]
@@ -101,17 +102,29 @@ def halfint(v) -> HalfInt:
 
 @dataclass(frozen=True)
 class GNSVector:
-    """An algebra element regarded as a vector under the pairing h(u* v)."""
+    """An algebra element regarded as a vector under the pairing h(u* v).
+
+    ``nodes``, when given, maps charge sectors to the element's node
+    vectors, which every pairing then reads in place of evaluating ``poly``.
+    """
 
     poly: NCPolynomial
+    nodes: dict | None = field(default=None, compare=False, repr=False)
 
 
 class GramSingularError(RuntimeError):
-    """Sector Gram matrix numerically singular: degree cutoff too small."""
+    """Sector measure numerically degenerate at the requested depth."""
 
 
 # Largest lmax2 that `gram_schmidt_basis` builds.
 LMAX2_CAP = 8
+
+# The node grid runs until x_n < _NODE_FLOOR, then _NODE_PADDING nodes more,
+# which sectors with c1 > 0 start late on.  Gram-Schmidt squares residuals,
+# so one below _RESIDUAL_FLOOR leaves the normal float range.
+_NODE_FLOOR = 1e-18
+_NODE_PADDING = 16
+_RESIDUAL_FLOOR = 1e-150
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +182,18 @@ def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec, qp: QParam | None = No
 def gns_inner(u, v, qp: QParam | None = None) -> complex:
     """Sesquilinear pairing h(u* v); accepts GNSVector or NCPolynomial.
 
-    h only sees charge-(0,0) monomials, so h(u* v) is the sum, over the
-    charge sectors that u and v share, of the sector's moment pairing
-    sum_{s,t} conj(f_s) g_t m(s + t).  Here f and g are the x-coefficient
-    vectors of the parts of u and v in that sector and m is
-    `sector_moment`.  Terms of different charges are never multiplied.
-    Every moment is a sum of positive terms, so the value is stable at any
-    sector depth, where the expanded product adjoint(u) v would contract
-    alpha powers with coefficients growing like q^(-|c1|^2) that cancel.
-    The degree cap of `mul` still applies to deg u + deg v.
+    The sum, over the charge sectors that u and v share, of the dot
+    product of their node vectors there.  Terms of different charges are
+    never multiplied and no product u* v is formed, so only an element
+    whose own coefficients cancel loses digits.
     """
     pu = u.poly if isinstance(u, GNSVector) else u
     pv = v.poly if isinstance(v, GNSVector) else v
     if pu.qp != pv.qp:
         raise ValueError("mixed deformation parameters")
-    if pu.degree() + pv.degree() > pu.qp.max_degree:
-        raise DegreeOverflowError(
-            f"pairing degree {pu.degree() + pv.degree()} exceeds cap {pu.qp.max_degree}")
     qp = qp or pu.qp
     _require_deformed(qp)
-    return _pair_blocks(_charge_blocks(pu), _charge_blocks(pv), qp.q)
-
-
-def charge_of(mon: CanonicalMonomial) -> tuple[int, int]:
-    """The conserved bigrading (alpha exponent, beta minus beta* exponent)."""
-    return mon.charges
+    return _pair(_nodes_of(u, qp.q), _nodes_of(v, qp.q), qp.q)
 
 
 # ---------------------------------------------------------------------------
@@ -270,82 +270,104 @@ def _sector_base_monomial(c1: int, c2: int, depth: int) -> CanonicalMonomial:
     return CanonicalMonomial(c1, max(c2, 0) + depth, max(-c2, 0) + depth)
 
 
-def _charge_blocks(p: NCPolynomial) -> dict[tuple[int, int], list[tuple[int, complex]]]:
-    """The terms of p grouped by charge, as (depth, coefficient) pairs.
+@lru_cache(maxsize=16)
+def _grid(q: float) -> np.ndarray:
+    """The node grid x_n = q^(2n), n = 0 .. until x_n < 1e-18, plus padding."""
+    n = int(math.log(_NODE_FLOOR) / (2.0 * math.log(q))) + 1
+    x = q ** (2.0 * np.arange(n + _NODE_PADDING))
+    x.setflags(write=False)
+    return x
 
-    The monomial of depth t in sector (c1, c2) is the sector's base
-    monomial times x^t (b and b* commute), so its coefficient is the t-th
-    x-coefficient of p's part in that sector.
-    """
-    blocks: dict[tuple[int, int], list[tuple[int, complex]]] = {}
+
+def _level_weights(mon: CanonicalMonomial, q: float, f: np.ndarray) -> np.ndarray:
+    """W_m(f), the weight with which the monomial sends Fock level f; 0 for f < 0."""
+    level = np.maximum(f, 0)
+    w = q ** (level * (mon.beta + mon.beta_star)).astype(float)
+    # levels f - r, r < k, for a^k (a zero factor kills f < k); f + r for a*^|k|
+    for shift in (range(0, -mon.alpha, -1) if mon.alpha > 0 else range(1, 1 - mon.alpha)):
+        w = w * np.sqrt(1.0 - q ** (2.0 * np.maximum(level + shift, 0)))
+    return np.where(f >= 0, w, 0.0)
+
+
+# A basis at lmax2 = 8 has 145 sectors; the bound leaves room for several q.
+@lru_cache(maxsize=1024)
+def _sector_weights(c1: int, c2: int, q: float) -> np.ndarray:
+    """Node vector of the sector's base monomial, q^n W_base(n)."""
+    n = np.arange(len(_grid(q)))
+    g = q ** n * _level_weights(_sector_base_monomial(c1, c2, 0), q, n)
+    g.setflags(write=False)
+    return g
+
+
+def _node_form(p: NCPolynomial, q: float) -> dict[tuple[int, int], np.ndarray]:
+    """The node vectors of an element per charge sector: the depth-t monomial
+    of a sector is its base monomial times x^t (b and b* commute)."""
+    x = _grid(q)
+    by_sector: dict[tuple[int, int], dict[int, complex]] = {}
     for m, c in p.terms.items():
-        blocks.setdefault(m.charges, []).append((min(m.beta, m.beta_star), c))
-    return blocks
+        by_sector.setdefault(m.charges, {})[min(m.beta, m.beta_star)] = c
+    out = {}
+    for sector, coeffs in by_sector.items():
+        f = np.zeros(len(x), dtype=complex)
+        for t in sorted(coeffs):
+            f += coeffs[t] * x ** t
+        out[sector] = _sector_weights(*sector, q) * f
+    return out
 
 
-def _block_pair(charge: tuple[int, int], fu, fv, q: float) -> complex:
-    """Moment pairing of two (depth, coefficient) blocks of one sector."""
-    c1, c2 = charge
-    return sum((cs.conjugate() * ct * _moment(c1, c2, s + t, q)
-                for s, cs in fu for t, ct in fv), start=0.0 + 0.0j)
+def _nodes_of(w, q: float) -> dict[tuple[int, int], np.ndarray]:
+    """The node vectors a GNSVector carries, or else those of its element."""
+    if isinstance(w, GNSVector) and w.nodes is not None:
+        return w.nodes
+    return _node_form(w.poly if isinstance(w, GNSVector) else w, q)
 
 
-def _pair_blocks(bu, bv, q: float) -> complex:
-    """Sum of the moment pairings over the charges two block maps share."""
+def _pair(gu: dict, gv: dict, q: float) -> complex:
+    """(1 - q^2) times the node dot products over the sectors both occupy."""
     total = 0.0 + 0.0j
-    for charge in bu.keys() & bv.keys():
-        total += _block_pair(charge, bu[charge], bv[charge], q)
-    return total
+    for sector in sorted(gu.keys() & gv.keys()):
+        total += complex(np.vdot(gu[sector], gv[sector]))
+    return (1.0 - q * q) * total
 
 
-def sector_pair(u: NCPolynomial, v: NCPolynomial, qp: QParam | None = None) -> complex:
-    """GNS pairing of two single-sector elements, through the moment functional.
+def action_weights(a: NCPolynomial, c1: int) -> dict[tuple[int, int], np.ndarray]:
+    """Per charge shift (k, d) of a's terms, the node weights with which pi(a)
+    maps sector (c1, c2) to (c1 + k, c2 + d): the sum of (1 - q^2) c_m
+    W_m(n - c1) over those terms, the pairing's constant included."""
+    _require_deformed(a.qp)
+    q = a.qp.q
+    f = np.arange(len(_grid(q))) - c1
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for m, c in a.terms.items():
+        w = (1.0 - q * q) * c * _level_weights(m, q, f)
+        out[m.charges] = out[m.charges] + w if m.charges in out else w
+    return out
 
-    The same value as `gns_inner`, which pairs sector by sector anyway;
-    this entry point also checks that each argument lies in exactly one
-    charge sector and raises ValueError otherwise.  Distinct sectors give
-    an exact 0.
+
+def sector_pair(u, v, qp: QParam | None = None) -> complex:
+    """GNS pairing of two single-sector elements, GNSVector or NCPolynomial.
+
+    The same value as `gns_inner`; this entry point also checks that each
+    argument lies in exactly one charge sector and raises ValueError
+    otherwise.  Distinct sectors give an exact 0.
     """
-    for p in (u, v):
-        charges = {m.charges for m in p.terms}
+    for w in (u, v):
+        charges = {m.charges for m in (w.poly if isinstance(w, GNSVector) else w).terms}
         if len(charges) != 1:
             raise ValueError(f"element spans several charge sectors: {sorted(charges)}")
     return gns_inner(u, v, qp)
 
 
 def sector_moment(c1: int, c2: int, p: int, qp: QParam) -> float:
-    """Moment <v_0, x^p v_0> of the sector measure, by direct Jackson summation.
+    """Moment <v_0, x^p v_0> = (1 - q^2) sum_n g(n)^2 x_n^p of the sector measure.
 
-    v_0 is the sector's base monomial and x = b b*.  The summand is a
-    product of nonneg terms, so unlike the canonical-form expansion (whose
-    alpha contractions cancel catastrophically for large |c1|) this sum is
-    stable at any sector.  Memoized per (c1, c2, p, q) in a bounded table.
+    v_0 is the sector's base monomial, x = b b* and g its node vector: a
+    sum of nonnegative terms, stable at any sector.
     """
     _require_deformed(qp)
-    return _moment(c1, c2, p, qp.q)
-
-
-# A basis at lmax2 = 8, its Gram and the commutator scans of seven elements
-# of degree <= 2 use 425 distinct (c1, c2, p) at one q; the bound leaves
-# room for several q.
-@lru_cache(maxsize=4096)
-def _moment(c1: int, c2: int, p: int, q: float) -> float:
-    total = 0.0
-    k = abs(c1) if c1 > 0 else 0
-    while True:
-        node = q ** (2 * k)
-        w = node ** (p + abs(c2) + 1)
-        if c1 > 0:
-            for i in range(c1):
-                w *= 1.0 - q ** (2 * (k - i))
-        elif c1 < 0:
-            for i in range(1, -c1 + 1):
-                w *= 1.0 - q ** (2 * (k + i))
-        total += w
-        if w <= 1e-18 * max(total, 1e-300):
-            break
-        k += 1
-    return (1.0 - q * q) * total
+    q = qp.q
+    g = _sector_weights(c1, c2, q)
+    return float((1.0 - q * q) * np.sum(g * g * _grid(q) ** p))
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +396,17 @@ class GNSBasis:
     def vector(self, l, j, k) -> GNSVector:
         return self.entries[(halfint(l).twice, halfint(j).twice, halfint(k).twice)]
 
+    def sector_nodes(self, labels) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """Per charge sector: the positions in ``labels`` of the entries with a
+        node vector there, and those vectors stacked as rows."""
+        groups: dict[tuple[int, int], list] = {}
+        for i, lab in enumerate(labels):
+            entry = self.entries[lab]
+            for sector, vec in _nodes_of(entry, entry.poly.qp.q).items():
+                groups.setdefault(sector, []).append((i, vec))
+        return {s: (np.array([i for i, _ in members]), np.array([v for _, v in members]))
+                for s, members in groups.items()}
+
     def to_json_dict(self) -> dict:
         return {
             "lmax2": self.lmax2,
@@ -385,77 +418,77 @@ class GNSBasis:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict, qp: QParam | None = None) -> "GNSBasis":
-        entries, norms = {}, {}
-        for e in data["entries"]:
-            key = (int(e["l2"]), int(e["j2"]), int(e["k2"]))
-            entries[key] = GNSVector(NCPolynomial.from_json_dict(e["poly"], qp))
-            norms[key] = float(e["norm"])
-        return cls(HalfInt(int(data["lmax2"])), entries, norms)
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-
-def _sign_fix(p: NCPolynomial) -> NCPolynomial:
-    """Rotate the phase so the leading (highest-degree) coefficient is positive real."""
-    if p.is_zero():
-        return p
+def _phase(p: NCPolynomial) -> complex:
+    """The phase that makes the leading (highest-degree) coefficient positive real."""
     lead = max(p.terms, key=lambda m: (m.degree, m.alpha, m.beta))
     c = p.terms[lead]
-    return p * (abs(c) / c)
+    return abs(c) / c
+
+
+def _project_out(u: np.ndarray, cu: np.ndarray, done: list, rows: np.ndarray, measure: float):
+    """One modified Gram-Schmidt sweep of the rows of u against the finished vectors."""
+    for vectors, coeffs in done:
+        v, cv = vectors[rows], coeffs[rows]
+        c = measure * (v * u).sum(axis=-1)[:, None]
+        u = u - c * v
+        cu = cu - c * cv
+    return u, cu
 
 
 def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
-    """Orthonormalize the degree filtration sector by sector.
+    """Orthonormalize the degree filtration sector by sector, in node space.
 
-    Inside a sector every vector is (base monomial) * x^t, so the pairing
-    reduces to the moment functional `sector_moment` and the Gram-Schmidt
-    sweep runs on x-coefficient vectors against the moment matrix.  The
-    moments are positive sums (1e-16 relative error at any sector), which
-    keeps deep alpha-power sectors well-posed where the expanded
-    canonical-form pairing would cancel catastrophically.  Modified
-    Gram-Schmidt with one reorthogonalization pass; a pivot below 1e-12
-    times the vector's own norm raises GramSingularError.  Each entry is
-    built straight from its coefficient list over the sector's monomials.
-    Its leading coefficient is 1/|u| > 0, since no projection touches the
-    top coefficient u[depth] = 1, so no phase fix is needed.
+    Depth 0 of a sector is its weight vector, depth d is x times the depth
+    d - 1 vector, orthogonalized against the earlier ones by modified
+    Gram-Schmidt with one reorthogonalization pass (discretized Stieltjes),
+    on all sectors of a depth at once.  Every operation is elementwise or a
+    sum along one sector's nodes, so a lower cutoff's basis is bitwise the
+    leading part of a higher one's.  The x-coefficients follow the same
+    operations; the leading one, 1 / norm, is positive.  A residual below
+    1e-150 (extreme q) raises GramSingularError.
     """
     if not 0 <= lmax2 <= LMAX2_CAP:
         raise ValueError(f"basis construction is desk-scale, need 0 <= lmax2 <= {LMAX2_CAP}")
     _require_deformed(qp)
+    q = qp.q
+    measure = 1.0 - q * q
+    x = _grid(q)
+    sectors = sector_labels(lmax2)
+    depths = np.array([len(labels) for _, labels in sectors])
+    top = int(depths.max())
+    vectors = np.zeros((top, len(sectors), len(x)))
+    coeffs = np.zeros((top, len(sectors), top))
+    for depth in range(top):
+        rows = np.flatnonzero(depths > depth)
+        if depth == 0:
+            u = np.array([_sector_weights(c1, c2, q) for (c1, c2), _ in sectors])
+            cu = np.zeros((len(sectors), top))
+            cu[:, 0] = 1.0
+        else:
+            u = x * vectors[depth - 1, rows]
+            cu = np.zeros((len(rows), top))
+            cu[:, 1:] = coeffs[depth - 1, rows, :-1]
+        done = [(vectors[e], coeffs[e]) for e in range(depth)]
+        for _ in range(2):  # reorthogonalization pass
+            u, cu = _project_out(u, cu, done, rows, measure)
+        residual = np.sqrt(measure * (u * u).sum(axis=-1))
+        for i in np.flatnonzero(~(residual > _RESIDUAL_FLOOR)):
+            raise GramSingularError(
+                f"sector {sectors[rows[i]][0]} depth {depth}: residual {residual[i]:.3e} "
+                f"is below {_RESIDUAL_FLOOR:.0e}")
+        vectors[depth, rows] = u / residual[:, None]
+        coeffs[depth, rows] = cu / residual[:, None]
+    vectors.setflags(write=False)
     entries: dict[tuple[int, int, int], GNSVector] = {}
     norms: dict[tuple[int, int, int], float] = {}
-    for (c1, c2), labels in sector_labels(lmax2):
-        depth_count = len(labels)
-        monomials = [_sector_base_monomial(c1, c2, t) for t in range(depth_count)]
-        moments = [_moment(c1, c2, p, qp.q) for p in range(2 * depth_count - 1)]
-        done: list[list[float]] = []
-
-        def pair(u, v):
-            return sum(ui * moments[s + t] * vt
-                       for s, ui in enumerate(u) for t, vt in enumerate(v))
-
+    for i, ((c1, c2), labels) in enumerate(sectors):
+        monomials = [_sector_base_monomial(c1, c2, t) for t in range(len(labels))]
         for depth, key in enumerate(labels):
-            u = [0.0] * (depth + 1)
-            u[depth] = 1.0
-            for _ in range(2):  # reorthogonalization pass
-                for e in done:
-                    c = pair(e, u)
-                    u = [ui - c * (e[i] if i < len(e) else 0.0)
-                         for i, ui in enumerate(u)]
-            norm_sq = pair(u, u)
-            if norm_sq <= 1e-12 * moments[2 * depth]:
-                raise GramSingularError(
-                    f"sector {(c1, c2)} depth {depth}: Gram pivot {norm_sq:.3e}")
-            nrm = math.sqrt(norm_sq)
-            e_coeffs = [ui / nrm for ui in u]
-            done.append(e_coeffs)
-            entries[key] = GNSVector(NCPolynomial(qp, {
-                mon: c for mon, c in zip(monomials, e_coeffs) if c != 0.0}))
-            norms[key] = nrm
+            poly = NCPolynomial(qp, {mon: c for mon, c in zip(monomials, coeffs[depth, i])
+                                     if c != 0.0})
+            entries[key] = GNSVector(poly, {(c1, c2): vectors[depth, i]})
+            norms[key] = 1.0 / float(coeffs[depth, i, depth])
     return GNSBasis(HalfInt(lmax2), entries, norms)
 
 
@@ -475,10 +508,10 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     `little_jacobi` on x' = q^(-2 c1) b b*, in the same order: the k-th
     power of the scale by repeated complex products, times the series
     coefficient.  So the entry equals that NCPolynomial route bitwise.  The
-    norm is the sector's moment pairing of the coefficient vector; the
-    degree cap of the pairing applies.  Where cancellation at small q
-    leaves a self-pairing that is not positive, GramSingularError names
-    the sector and the depth.
+    norm is that of the element's node vector, as `gns_inner` pairs it; a
+    self-pairing that is not positive raises GramSingularError naming the
+    sector and the depth.  The degree cap of `mul` applies to twice the
+    element's degree.
     """
     l2, j2, k2 = halfint(l).twice, halfint(j).twice, halfint(k).twice
     if abs(j2) > l2 or abs(k2) > l2:
@@ -499,35 +532,29 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     if 2 * vec.degree() > qp.max_degree:
         raise DegreeOverflowError(
             f"pairing degree {2 * vec.degree()} exceeds cap {qp.max_degree}")
-    block = _charge_blocks(vec)[(c1, c2)]
-    norm_sq = _block_pair((c1, c2), block, block, q).real
+    nodes = _node_form(vec, q)
+    norm_sq = _pair(nodes, nodes, q).real
     if not norm_sq > 0.0:
         raise GramSingularError(
             f"sector {(c1, c2)} depth {depth}: self-pairing {norm_sq:.3e} of the "
             f"matrix coefficient l2={l2} j2={j2} k2={k2} is not positive")
-    return GNSVector(_sign_fix(vec * (1.0 / math.sqrt(norm_sq))))
+    inv_norm = 1.0 / math.sqrt(norm_sq)
+    unit = vec * inv_norm
+    phase = _phase(unit)
+    return GNSVector(unit * phase, {(c1, c2): nodes[(c1, c2)] * (inv_norm * phase)})
 
 
 def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:
     """Worst deviation |<e_i, e_j> - delta_ij| of the basis from orthonormality.
 
-    A charge-blocked Gram: every entry's terms are grouped by charge and
-    the entries are paired block by block inside each charge group, with
-    the moment pairing of `gns_inner`.  Entries that share no charge pair
-    to an exact 0 without any work, and a stray term in a foreign sector
-    still meets that sector's entries there as a nonzero cross-pairing.
+    The Gram of the entries' node vectors, sector by sector: entries that
+    share no sector pair to an exact 0, and a component in a foreign sector
+    still meets that sector's entries there.  An entry without components
+    reads as a defect of 1.
     """
     _require_deformed(qp)
     labels = basis.labels()
-    groups: dict[tuple[int, int], list[tuple[int, list]]] = {}
-    for i, lab in enumerate(labels):
-        for charge, block in _charge_blocks(basis.entries[lab].poly).items():
-            groups.setdefault(charge, []).append((i, block))
-    # only the pairs that share a charge, and every diagonal entry, since
-    # an entry without terms must still read as a defect of 1
-    gram = {(i, i): 0.0 + 0.0j for i in range(len(labels))}
-    for charge, members in groups.items():
-        for n, (i, bi) in enumerate(members):
-            for j, bj in members[n:]:
-                gram[i, j] = gram.get((i, j), 0.0) + _block_pair(charge, bi, bj, qp.q)
-    return max(abs(val - (1.0 if i == j else 0.0)) for (i, j), val in gram.items())
+    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    for idx, rows in basis.sector_nodes(labels).values():
+        gram[np.ix_(idx, idx)] += (1.0 - qp.q * qp.q) * (rows.conj() @ rows.T)
+    return float(np.max(np.abs(gram - np.eye(len(labels)))))

@@ -22,19 +22,18 @@ import numpy as np
 
 from .ncpoly import (
     ALPHA, ALPHA_STAR, BETA, BETA_STAR,
-    DegreeOverflowError, NCPolynomial, QParam,
+    NCPolynomial, QParam,
     adjoint, module_decompose, monomials_up_to, mul, random_polynomial,
     z2_act, z2_project,
 )
 from .gns import (
-    GNSBasis, HalfInt, gns_inner, gram_schmidt_basis, halfint,
-    _charge_blocks, _pair_blocks, _require_deformed,
+    GNSBasis, HalfInt, action_weights, gns_inner, gram_schmidt_basis, halfint,
 )
 from .rep import operator_norm
 from .report import CheckResult, all_passed
 
 __all__ = [
-    "DiracSpec", "CoveringCert", "dirac_apply", "check_parity",
+    "DiracSpec", "CoveringCert", "check_parity",
     "pi_matrix", "commutator_matrix", "commutator_norm_scan",
     "summability_scan", "hilbert_module_product", "certify_covering",
     "assemble_unoriented_triple", "spectrum_rows", "dirac_labels",
@@ -69,16 +68,6 @@ def dirac_labels(lmax2: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def dirac_apply(coeffs: dict[tuple[int, int, int], complex], spec: DiracSpec):
-    """Scale a coefficient vector over basis labels by d(l, j), componentwise."""
-    out = {}
-    for (l2, j2, k2), c in coeffs.items():
-        if l2 > spec.lmax2:
-            raise ValueError(f"label l2={l2} outside lmax2={spec.lmax2}")
-        out[(l2, j2, k2)] = spec.d(HalfInt(l2), HalfInt(j2)) * c
-    return out
-
-
 def check_parity(basis: GNSBasis) -> list[CheckResult]:
     """Assert g e^(l)_{jk} = (-1)^(2l) e^(l)_{jk} coefficientwise, per label."""
     out = []
@@ -100,41 +89,24 @@ def pi_matrix(a: NCPolynomial, basis: GNSBasis,
               row_labels=None, col_labels=None) -> np.ndarray:
     """Matrix of left multiplication by ``a`` in the orthonormal basis.
 
-    Entry (r, c) is <e_r, a e_c>.  Entries between charge-incompatible
-    sectors vanish exactly (the pairing's charge selection rule) and are
-    skipped rather than computed.  The row entries' charge blocks are
-    grouped once per call and each column image's blocks once per column;
-    every entry is then the moment pairing of the blocks the two share, so
-    it equals `gns_inner(e_r, a e_c)` bitwise, a stray term in a foreign
-    charge included.  The pairing's guarantees hold: mixed q raises
-    ValueError, and a row degree plus an image degree above the cap raises
-    DegreeOverflowError.
+    Entry (r, c) is <e_r, a e_c>.  pi(a) is diagonal on node vectors
+    (`gns.action_weights`), so the block from sector s to s' is
+    V_s'^H diag(w) V_s; charge-incompatible blocks vanish and are never
+    formed.  Each entry sums over the nodes of its two vectors alone, so its
+    bits do not depend on the other labels.  Mixed q raises ValueError.
     """
     rows = list(row_labels if row_labels is not None else basis.labels())
     cols = list(col_labels if col_labels is not None else basis.labels())
-    qp = a.qp
-    _require_deformed(qp)
-    a_charges = {m.charges for m in a.terms}
-    row_polys = [basis.entries[lab].poly for lab in rows]
-    if any(p.qp != qp for p in row_polys):
+    if any(basis.entries[lab].poly.qp != a.qp for lab in (*rows, *cols)):
         raise ValueError("mixed deformation parameters")
-    row_blocks = [_charge_blocks(p) for p in row_polys]
-    row_degrees = [p.degree() for p in row_polys]
-    rows_of: dict[tuple[int, int], list[int]] = {}
-    for ri, p in enumerate(row_polys):
-        rows_of.setdefault(next(iter(p.terms)).charges, []).append(ri)
+    row_nodes, col_nodes = basis.sector_nodes(rows), basis.sector_nodes(cols)
+    weights = {c1: action_weights(a, c1) for c1, _ in col_nodes}
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for ci, clab in enumerate(cols):
-        entry = basis.entries[clab].poly
-        image = mul(a, entry)
-        blocks, degree = _charge_blocks(image), image.degree()
-        c1, c2 = next(iter(entry.terms)).charges
-        for (da, db) in a_charges:
-            for ri in rows_of.get((c1 + da, c2 + db), ()):
-                if row_degrees[ri] + degree > qp.max_degree:
-                    raise DegreeOverflowError(
-                        f"pairing degree {row_degrees[ri] + degree} exceeds cap {qp.max_degree}")
-                mat[ri, ci] = _pair_blocks(row_blocks[ri], blocks, qp.q)
+    for (c1, c2), (ci, vc) in col_nodes.items():
+        for (d1, d2), w in weights[c1].items():
+            if (c1 + d1, c2 + d2) in row_nodes:
+                ri, vr = row_nodes[c1 + d1, c2 + d2]
+                mat[np.ix_(ri, ci)] += (vr.conj()[:, None, :] * (w * vc)[None, :, :]).sum(axis=-1)
     return mat
 
 

@@ -1,12 +1,15 @@
 """The NCPolynomial routes of the basis and operator layers: the test oracles
-for the sector-native routes in `gns` and `triple`.
+for the node-vector routes in `gns` and `triple`.
 
 Each function computes its layer's values through whole algebra elements:
-the Gram-Schmidt entries phase-fixed by `_sign_fix`, the matrix coefficient
-through `little_jacobi` on an algebra element, one `gns_inner` call per
-entry of pi, and unit columns pushed through `rep.apply_poly_to_columns`.
-The sector-native routes perform the same float operations in the same
-order, so their values must equal these bitwise.
+the Gram-Schmidt sweep on x-coefficients against the Hankel moment matrix,
+phase-fixed by `_sign_fix` (the basis algorithm before node vectors; it
+loses digits with depth), the matrix coefficient through `little_jacobi` on
+an algebra element, one `gns_inner` call per entry of pi on the expanded
+product, and unit columns pushed through `rep.apply_poly_to_columns`.  The
+matrix coefficient and the Haar sum perform the float operations of the
+production routes in the same order, so they must agree bitwise; the
+others agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -17,10 +20,15 @@ import numpy as np
 
 from qtriple import rep
 from qtriple.gns import (
-    GNSVector, _sector_base_monomial, _sign_fix, gns_inner, halfint, little_jacobi,
+    GNSVector, _phase, _sector_base_monomial, gns_inner, halfint, little_jacobi,
     sector_labels, sector_moment, sector_of_label, sector_pair,
 )
 from qtriple.ncpoly import BETA, BETA_STAR, NCPolynomial, QParam, mul
+
+
+def _sign_fix(p: NCPolynomial) -> NCPolynomial:
+    """Rotate the phase so the leading (highest-degree) coefficient is positive real."""
+    return p * _phase(p)
 
 
 def gram_schmidt_entries(lmax2: int, qp: QParam):
@@ -71,21 +79,20 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
 
 
 def pi_matrix(a: NCPolynomial, basis, row_labels=None, col_labels=None) -> np.ndarray:
-    """<e_r, a e_c> by one `gns_inner` call per charge-compatible entry."""
+    """<e_r, a e_c> by one `gns_inner` call per charge-compatible entry, with
+    the product a e_c expanded; a row is charge-compatible through any of
+    the sectors its node vectors occupy."""
     rows = list(row_labels if row_labels is not None else basis.labels())
     cols = list(col_labels if col_labels is not None else basis.labels())
     a_charges = {m.charges for m in a.terms}
-
-    def charge(lab):
-        return next(iter(basis.entries[lab].poly.terms)).charges
-
     rows_of = {}
     for ri, rlab in enumerate(rows):
-        rows_of.setdefault(charge(rlab), []).append(ri)
+        for sector in basis.entries[rlab].nodes:
+            rows_of.setdefault(sector, []).append(ri)
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
     for ci, clab in enumerate(cols):
         image = mul(a, basis.entries[clab].poly)
-        c1, c2 = charge(clab)
+        c1, c2 = next(iter(basis.entries[clab].poly.terms)).charges
         for (da, db) in a_charges:
             for ri in rows_of.get((c1 + da, c2 + db), ()):
                 mat[ri, ci] = gns_inner(basis.entries[rows[ri]], image)

@@ -90,10 +90,14 @@ class TestConfig:
 
     def test_degenerate_sector_measure_is_config_error(self, capsys):
         # extreme q at depth collapses the sector measure: exit 2, not a crash
-        code, _, err = run(capsys, "verify", "parity", "--q", "0.1")
+        # (at q = 1e-20 and lmax2 5 the weight of sector (2, -3) is q^8 =
+        # 1e-160 on its first node, and its square leaves the float range)
+        code, _, err = run(capsys, "verify", "parity", "--q", "1e-20")
         assert code == 2
         assert "configuration error" in err
-        code, _, _ = run(capsys, "verify", "parity", "--q", "0.1", "--lmax2", "3")
+        code, _, _ = run(capsys, "verify", "parity", "--q", "1e-20", "--lmax2", "3")
+        assert code == 0
+        code, _, _ = run(capsys, "verify", "parity", "--q", "0.1")
         assert code == 0
 
 
@@ -109,6 +113,17 @@ class TestVerify:
         assert sum("relation" in n for n in names) == 5
         for c in report["checks"]:
             assert set(c) == {"name", "pass", "detail", "tolerance", "value"}
+
+    @pytest.mark.parametrize("q, lmax2, overlap", [("0.5", "8", 1e-12), ("0.3", "7", 1e-12),
+                                                   ("0.2", "8", 1e-10)])
+    def test_gns_passes_at_deep_cutoffs(self, capsys, q, lmax2, overlap):
+        # the Hankel basis failed orthonormality at (0.5, 8) and stopped
+        # with a singular Gram at the other two (exit 2)
+        code, out, _ = run(capsys, "verify", "gns", "--q", q, "--lmax2", lmax2)
+        assert code == 0
+        values = {c["name"]: c["value"] for c in json.loads(out)["checks"]}
+        assert values["orthonormality"] <= 1e-14
+        assert values["matrix coefficients match Gram-Schmidt"] <= overlap
 
     def test_config_echo_and_seed(self, capsys):
         code, out, _ = run(capsys, "verify", "parity", "--seed", "7", "--lmax2", "2")

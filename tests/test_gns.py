@@ -1,14 +1,17 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact_gns
 import routes
-from qtriple import cli, gns, rep
+from qtriple import cli, gns, rep, triple
 from qtriple.grammar import parse
 from qtriple.ncpoly import (
     BETA,
@@ -16,7 +19,7 @@ from qtriple.ncpoly import (
     adjoint, monomials_up_to, mul, random_polynomial,
 )
 from qtriple.gns import (
-    GNSBasis, GNSVector, GramSingularError, HalfInt, basis_orthonormality_defect, charge_of,
+    GNSBasis, GNSVector, GramSingularError, HalfInt, basis_orthonormality_defect,
     gns_inner, gram_schmidt_basis, haar_exact, haar_numeric, halfint,
     little_jacobi, sector_labels, sector_of_label, t_matrix,
 )
@@ -43,6 +46,14 @@ def expanded_inner(u, v):
 def same_bits(u, v):
     """Equal coefficients bit for bit, signed zeros included."""
     return json.dumps(u.to_json_dict()) == json.dumps(v.to_json_dict())
+
+
+def failing_gns_checks(*argv):
+    """Names of the failing checks of `verify gns` with the given options."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", "gns", *argv])
+    return [c["name"] for c in json.loads(out.getvalue())["checks"] if not c["pass"]]
 
 
 def pairing_gap(qp, n_pairs=100):
@@ -153,13 +164,7 @@ class TestHaarNumeric:
     def test_wrong_b_weight_fails_exactly_the_haar_check(self, monkeypatch):
         # q^2 in place of q at Fock level 1: of the `verify gns` checks only
         # "haar exact vs numeric" goes through the representation
-        def failing_checks():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                cli.main(["verify", "gns", "--q", "0.5"])
-            return [c["name"] for c in json.loads(out.getvalue())["checks"] if not c["pass"]]
-
-        assert failing_checks() == []
+        assert failing_gns_checks("--q", "0.5") == []
         exact = rep._weights
 
         def wrong_power(t, q):
@@ -169,7 +174,7 @@ class TestHaarNumeric:
             return wa, wb
 
         monkeypatch.setattr(rep, "_weights", wrong_power)
-        assert failing_checks() == ["haar exact vs numeric (deg <= 6)"]
+        assert failing_gns_checks("--q", "0.5") == ["haar exact vs numeric (deg <= 6)"]
 
     def test_agreement_all_monomials_degree6(self, qp_any):
         # the tail bound 10 q^(2 N_F) drops below double resolution for
@@ -194,13 +199,16 @@ class TestInnerProduct:
         expected = (1 - q * q) / (1 - q ** 4)
         assert gns_inner(parse("b", qp), parse("b", qp)) == pytest.approx(expected, abs=1e-15)
 
-    def test_degree_cap_applies_to_the_pair(self):
-        from qtriple.ncpoly import DegreeOverflowError
-        qp = QParam(0.5, max_degree=5)
-        u, v = parse("a^2 b", qp), parse("a b b'", qp)
-        assert gns_inner(u, parse("a b", qp)) == gns_inner(u, parse("a b", qp))
-        with pytest.raises(DegreeOverflowError):
-            gns_inner(u, v)
+    def test_no_degree_cap_on_the_pair(self):
+        # node vectors pair without forming u* v, so the product's degree
+        # cap no longer applies: deg u + deg v = 6 pairs at a cap of 5
+        capped = QParam(0.5, max_degree=5)
+        u, v = parse("a^2 b", capped), parse("a b b' + a^2 b", capped)
+        want = gns_inner(parse("a^2 b", QParam(0.5)), parse("a b b' + a^2 b", QParam(0.5)))
+        assert gns_inner(u, v) == want
+        assert want == pytest.approx(expanded_inner(parse("a^2 b", QParam(0.5)),
+                                                    parse("a b b' + a^2 b", QParam(0.5))),
+                                     abs=1e-15)
 
     def test_sesquilinear(self, qp):
         rng = random.Random(7)
@@ -213,8 +221,8 @@ class TestInnerProduct:
 
 class TestCharges:
     def test_examples(self):
-        assert charge_of(CanonicalMonomial(1, 1, 0)) == (1, 1)
-        assert charge_of(CanonicalMonomial(0, 0, 1)) == (0, -1)
+        assert CanonicalMonomial(1, 1, 0).charges == (1, 1)
+        assert CanonicalMonomial(0, 0, 1).charges == (0, -1)
 
     def test_rewrite_rules_charge_homogeneous(self, qp):
         # both sides of every rule carry the same bigrading
@@ -229,13 +237,13 @@ class TestCharges:
             total = (gen_charge[l1][0] + gen_charge[l2][0],
                      gen_charge[l1][1] + gen_charge[l2][1])
             for m in out.terms:
-                assert charge_of(m) == total
+                assert m.charges == total
 
     def test_cross_sector_orthogonality_exact(self, qp):
         rng = random.Random(11)
         sectors = {}
         for m in monomials_up_to(4):
-            sectors.setdefault(charge_of(m), []).append(m)
+            sectors.setdefault(m.charges, []).append(m)
         keys = sorted(sectors)[:6]
         for i, ki in enumerate(keys):
             for kj in keys[i + 1:]:
@@ -327,21 +335,69 @@ class TestGramSchmidt:
         # every basis vector is a joint eigenvector of the two gradings
         basis = gram_schmidt_basis(4, qp)
         for (l2, j2, k2), vec in basis.entries.items():
-            charges = {charge_of(m) for m in vec.poly.terms}
+            charges = {m.charges for m in vec.poly.terms}
             assert len(charges) == 1
             assert charges.pop() == sector_of_label(j2, k2)
+            assert set(vec.nodes) == {sector_of_label(j2, k2)}
 
-    @pytest.mark.parametrize("q, lmax2", [(0.3, 6), (0.5, 8), (0.8, 8)])
-    def test_entries_equal_sign_fix_route(self, q, lmax2):
-        # the leading coefficient is 1/|u| > 0 already, so building each
-        # entry straight from its coefficient list changes no bit
+    @pytest.mark.parametrize("q, lmax2, tol", [(0.5, 6, 1e-9), (0.8, 8, 1e-10)])
+    def test_hankel_route_agrees_where_it_is_well_conditioned(self, q, lmax2, tol):
+        # Gram-Schmidt on x-coefficients against the Hankel moment matrix,
+        # the algorithm this basis replaced, loses digits with depth: 8e-11
+        # at (0.5, 6) and 2.3e-11 at (0.8, 8), 7.7e-7 at (0.5, 8)
         qp = QParam(q)
         basis = gram_schmidt_basis(lmax2, qp)
         entries, norms = routes.gram_schmidt_entries(lmax2, qp)
         assert basis.labels() == sorted(entries)
         for key, vec in entries.items():
-            assert same_bits(basis.entries[key].poly, vec.poly), key
-            assert basis.norms[key] == norms[key]
+            assert basis.norms[key] == pytest.approx(norms[key], rel=tol)
+            for mon, c in vec.poly.terms.items():
+                assert abs(basis.entries[key].poly.coeff(mon) - c) <= tol * abs(c), key
+
+    def test_lower_cutoff_is_the_leading_part(self):
+        # every operation is elementwise or a sum along one sector's nodes,
+        # so no vector depends on lmax2 (a Householder QR of each sector
+        # would not give this)
+        qp = QParam(0.5)
+        top = gram_schmidt_basis(8, qp)
+        for lmax2 in (4, 6, 7):
+            basis = gram_schmidt_basis(lmax2, qp)
+            for key, vec in basis.entries.items():
+                (sector, nodes), = vec.nodes.items()
+                assert nodes.tobytes() == top.entries[key].nodes[sector].tobytes(), key
+                assert same_bits(vec.poly, top.entries[key].poly), key
+                assert basis.norms[key] == top.norms[key]
+
+    def test_degenerate_sector_error_names_sector_and_depth(self):
+        # at q = 1e-20 the weight of sector (2, -3) on its first node, n = 2,
+        # is q^n q^(3n) = 1e-160: its square leaves the float range
+        with pytest.raises(GramSingularError, match=r"sector \(2, -3\) depth 0: residual"):
+            gram_schmidt_basis(5, QParam(1e-20))
+        assert basis_orthonormality_defect(gram_schmidt_basis(3, QParam(1e-20)),
+                                           QParam(1e-20)) <= 1e-15
+
+    def test_grid_doubling_changes_no_node_vector(self, monkeypatch):
+        # twice the nodes (floor 1e-36 in place of 1e-18): no node vector
+        # changes on the old nodes by more than 1e-15, and the nodes added
+        # carry a squared mass below double rounding (at most 4.1e-18, at
+        # q = 0.9), so no pairing sees them
+        def node_vectors(q):
+            gns._grid.cache_clear()
+            gns._sector_weights.cache_clear()
+            basis = gram_schmidt_basis(8, QParam(q))
+            return {k: next(iter(v.nodes.values())) for k, v in basis.entries.items()}
+
+        for q in (0.1, 0.2, 0.5, 0.9):
+            base = node_vectors(q)
+            with monkeypatch.context() as m:
+                m.setattr(gns, "_NODE_FLOOR", 1e-36)
+                doubled = node_vectors(q)
+            node_vectors(q)  # restore the caches
+            n = len(next(iter(base.values())))
+            assert len(next(iter(doubled.values()))) > n
+            for key, vec in base.items():
+                assert np.max(np.abs(doubled[key][:n] - vec)) <= 1e-15, (q, key)
+                assert np.sum(doubled[key][n:] ** 2) <= 1e-16, (q, key)
 
     def test_desk_scale_cap(self, qp):
         with pytest.raises(ValueError):
@@ -372,16 +428,26 @@ class TestGramSchmidt:
                 assert abs(engine.imag) < 1e-12
 
     def test_orthonormality_defect_sees_foreign_charge_term(self, qp):
-        # a 1e-6 term of charge (1, 0) in the charge-(0,0) entry e^(1)_00
-        # meets e^(1/2)_{-1/2,-1/2} = a / |a| there: a cross-pairing of
-        # 1e-6 |a|, far above the 1e-10 tolerance of `verify gns`
+        # a node vector of 1e-6 in sector (1, 0) added to the charge-(0,0)
+        # entry e^(1)_00 meets e^(1/2)_{-1/2,-1/2} = a / |a| there: a
+        # cross-pairing of 1e-6, far above the 1e-10 tolerance of `verify gns`
         basis = gram_schmidt_basis(4, qp)
-        assert basis_orthonormality_defect(basis, qp) <= 1e-10
+        assert basis_orthonormality_defect(basis, qp) <= 1e-15
         entries = dict(basis.entries)
-        stray = NCPolynomial.monomial(qp, CanonicalMonomial(1, 0, 0), 1e-6)
-        entries[(2, 0, 0)] = GNSVector(entries[(2, 0, 0)].poly + stray)
+        alpha = basis.entries[(1, -1, -1)].nodes[(1, 0)]
+        e00 = entries[(2, 0, 0)]
+        entries[(2, 0, 0)] = GNSVector(e00.poly, {**e00.nodes, (1, 0): 1e-6 * alpha})
         spoiled = GNSBasis(basis.lmax, entries, basis.norms)
-        assert basis_orthonormality_defect(spoiled, qp) > 1e-10
+        assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(1e-6, rel=1e-9)
+
+    def test_orthonormality_defect_sees_a_perturbed_node_vector(self, qp):
+        basis = gram_schmidt_basis(4, qp)
+        entries = dict(basis.entries)
+        e00 = entries[(2, 0, 0)]
+        spoiled_nodes = e00.nodes[(0, 0)] + 1e-6 * entries[(0, 0, 0)].nodes[(0, 0)]
+        entries[(2, 0, 0)] = GNSVector(e00.poly, {(0, 0): spoiled_nodes})
+        spoiled = GNSBasis(basis.lmax, entries, basis.norms)
+        assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(1e-6, rel=1e-6)
 
     def test_orthonormality_defect_matches_expanded_gram(self, qp):
         basis = gram_schmidt_basis(3, qp)
@@ -393,13 +459,14 @@ class TestGramSchmidt:
 
     def test_json_roundtrip(self, qp):
         basis = gram_schmidt_basis(2, qp)
-        data = basis.to_json_dict()
+        data = json.loads(json.dumps(basis.to_json_dict()))
         assert set(data) == {"lmax2", "entries"}
-        back = GNSBasis.from_json_dict(data, qp)
-        assert back.labels() == basis.labels()
-        for key in basis.entries:
-            assert back.entries[key].poly.allclose(basis.entries[key].poly, 1e-14)
-            assert back.norms[key] == pytest.approx(basis.norms[key])
+        assert data["lmax2"] == 2
+        assert [(e["l2"], e["j2"], e["k2"]) for e in data["entries"]] == basis.labels()
+        for e in data["entries"]:
+            key = (e["l2"], e["j2"], e["k2"])
+            assert NCPolynomial.from_json_dict(e["poly"], qp) == basis.entries[key].poly
+            assert e["norm"] == basis.norms[key]
 
 
 class TestMatrixCoefficients:
@@ -419,28 +486,15 @@ class TestMatrixCoefficients:
                 assert same_bits(t_matrix(*label, qp).poly,
                                  routes.t_matrix(*label, qp).poly), (l2, j2, k2)
 
-    @pytest.mark.parametrize("q, seen", [(0.1, [(6, 0, 0), (8, 0, 2), (7, 1, -3)]),
-                                         (0.2, [(8, 0, 0), (8, 4, -4), (7, 1, -1)])])
-    def test_small_q_self_pairing_raises_gram_singular(self, q, seen):
-        # cancellation in the deep sectors leaves self-pairings <= 0: each
-        # such label raises GramSingularError and no label raises another
-        # error, such as a division by zero or a math domain error
+    @pytest.mark.parametrize("q", (0.1, 0.2, 0.3, 0.5, 0.8))
+    def test_self_pairs_to_one_at_every_label(self, q):
+        # the norm and the pairing both read the node vector; the Hankel
+        # moment pairing missed 1 by 1.5e-3 at q = 0.3 and raised below
         qp = QParam(q)
-        singular = []
         for _, labels in sector_labels(8):
             for (l2, j2, k2) in labels:
-                try:
-                    t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp)
-                except GramSingularError:
-                    singular.append((l2, j2, k2))
-        assert set(seen) <= set(singular)
-
-    def test_small_q_error_names_sector_and_depth(self):
-        qp = QParam(0.2)
-        with pytest.raises(GramSingularError, match=r"sector \(0, 0\) depth 4: self-pairing"):
-            t_matrix(4, 0, 0, qp)
-        with pytest.raises(GramSingularError, match=r"sector \(0, -4\) depth 2"):
-            t_matrix(4, 2, -2, qp)
+                vec = t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp)
+                assert abs(gns_inner(vec, vec) - 1.0) <= 1e-12, (l2, j2, k2)
 
     def test_pairing_degree_cap(self, qp):
         # depth 17 in the charge-(0,0) sector: the self-pairing has degree 68
@@ -455,7 +509,7 @@ class TestMatrixCoefficients:
             t_matrix(1, 0.5, 0, qp)
 
     def test_unit_norm(self, qp):
-        # t_matrix normalizes with the moment pairing; measure on the
+        # t_matrix normalizes with the node pairing; measure on the
         # expanded route
         for (l, j, k) in [(1, 0, 0), (1.5, 0.5, -0.5), (2, -1, 1)]:
             vec = t_matrix(l, j, k, qp)
@@ -476,8 +530,8 @@ class TestMatrixCoefficients:
         basis = gram_schmidt_basis(6, qp_any)
         for (l2, j2, k2) in basis.labels():
             tv = t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp_any)
-            ov = abs(sector_pair(tv.poly, basis.entries[(l2, j2, k2)].poly, qp_any))
-            assert ov >= 1.0 - 1e-8
+            ov = abs(sector_pair(tv, basis.entries[(l2, j2, k2)], qp_any))
+            assert ov >= 1.0 - 1e-12
 
     def test_sector_pair_matches_engine_on_moderate_sectors(self):
         from qtriple.gns import sector_pair
@@ -494,11 +548,11 @@ class TestMatrixCoefficients:
         assert pairing_gap(QParam(q)) <= 1e-11
 
     def test_pairing_check_catches_a_wrong_q_power(self, monkeypatch):
-        # one x power too many in every Jackson summand: each node weight
-        # gains a factor q^2, and the pairing must part from the oracle
-        true_moment = gns._moment
-        monkeypatch.setattr(gns, "_moment",
-                            lambda c1, c2, p, q: true_moment(c1, c2, p + 1, q))
+        # one x power too many in every sector measure: each node weight
+        # w_s(n) gains a factor x_n, and the pairing must part from the oracle
+        true_weights = gns._sector_weights
+        monkeypatch.setattr(gns, "_sector_weights", lambda c1, c2, q:
+                            true_weights(c1, c2, q) * np.sqrt(gns._grid(q)))
         for q in MODERATE_Q:
             assert pairing_gap(QParam(q)) > 1e-11
 
@@ -519,3 +573,112 @@ class TestMatrixCoefficients:
             c1, c2 = sector_of_label(j2, k2)
             from qtriple.gns import label_of_sector
             assert label_of_sector(c1, c2) == (j2, k2)
+
+
+EXACT_Q = (Fraction(1, 2), Fraction(1, 3))
+
+
+def exact_mismatch(qf: Fraction, lmax2: int = 8) -> float:
+    """Worst relative error of the basis norms and x-coefficients against the
+    exact monic polynomials p_d and squared norms h_d (entry = p_d / sqrt(h_d))."""
+    qp = QParam(float(qf))
+    basis = gram_schmidt_basis(lmax2, qp)
+    worst = 0.0
+    for (c1, c2), labels in sector_labels(lmax2):
+        polys, norms_sq = exact_gns.monic_basis(c1, c2, len(labels), qf)
+        for depth, key in enumerate(labels):
+            norm = math.sqrt(float(norms_sq[depth]))
+            worst = max(worst, abs(basis.norms[key] - norm) / norm)
+            for t, exact in enumerate(polys[depth]):
+                got = basis.entries[key].poly.coeff(gns._sector_base_monomial(c1, c2, t))
+                want = float(exact) / norm
+                worst = max(worst, abs(got - want) / abs(want))
+    return worst
+
+
+class TestExactOracle:
+    """The float GNS layer against exact rational arithmetic at q = 1/2, 1/3.
+
+    Measured worst errors to lmax2 8: norms and x-coefficients 9.6e-16
+    (q = 1/2) and 2.0e-15 (q = 1/3), relative; squared pi(a), pi(b)
+    entries 7.8e-16, absolute.  The Hankel Gram-Schmidt missed by 2.1e-7 at
+    q = 1/2 and stopped at q = 1/3.
+    """
+
+    @pytest.mark.parametrize("qf", EXACT_Q, ids=str)
+    def test_moments_match(self, qf):
+        qp = QParam(float(qf))
+        for (c1, c2), labels in sector_labels(8):
+            count = 2 * len(labels) - 1
+            for p, exact in enumerate(exact_gns.sector_moments(c1, c2, count, qf)):
+                assert gns.sector_moment(c1, c2, p, qp) == pytest.approx(float(exact), rel=1e-14)
+
+    @pytest.mark.parametrize("qf", EXACT_Q, ids=str)
+    def test_basis_matches(self, qf):
+        assert exact_mismatch(qf) <= 1e-14
+
+    @pytest.mark.parametrize("qf", EXACT_Q, ids=str)
+    def test_generator_entries_match(self, qf):
+        qp = QParam(float(qf))
+        basis = gram_schmidt_basis(8, qp)
+        labels = basis.labels()
+        position = {lab: i for i, lab in enumerate(labels)}
+        sectors = dict(sector_labels(8))
+        counts = {s: len(labs) for s, labs in sectors.items()}
+        for letter, shift in (("a", (1, 0)), ("b", (0, 1))):
+            mat = triple.pi_matrix(parse(letter, qp), basis)
+            expected = np.zeros(mat.shape)
+            for (c1, c2), cols in sectors.items():
+                rows = sectors.get((c1 + shift[0], c2 + shift[1]), [])
+                for dc, col in enumerate(cols):
+                    for dr, row in enumerate(rows):
+                        expected[position[row], position[col]] = exact_gns.generator_entry_sq(
+                            letter, (c1, c2), dc, dr, counts, qf)
+            assert np.max(np.abs(np.abs(mat) ** 2 - expected)) <= 1e-14, letter
+
+    def test_wrong_q_power_parts_from_it(self, monkeypatch):
+        # one x power too many in the weights of the a*-power sectors
+        # (c1 < 0): the basis is still orthonormal in node space, but no
+        # longer the one of the Haar state
+        assert exact_mismatch(Fraction(1, 2), lmax2=4) <= 1e-14
+        true_weights = gns._sector_weights
+        monkeypatch.setattr(gns, "_sector_weights", lambda c1, c2, q: true_weights(c1, c2, q)
+                            * (np.sqrt(gns._grid(q)) if c1 < 0 else 1.0))
+        assert exact_mismatch(Fraction(1, 2), lmax2=4) > 1e-3
+
+
+class TestVerifyGnsMutations:
+    """Each check of `verify gns` fails, alone, under a mutation aimed at it
+    (the Haar check's mutation is in TestHaarNumeric)."""
+
+    def test_series_check(self, monkeypatch):
+        # a wrong q power in the closed form above degree 6, which the
+        # numeric check's monomials do not reach
+        true_haar = gns._haar_monomial
+        monkeypatch.setattr(gns, "_haar_monomial", lambda mon, q: true_haar(mon, q)
+                            * (q if mon.beta > 3 else 1.0))
+        assert failing_gns_checks("--q", "0.5") == ["haar (bb*)^n vs geometric series"]
+
+    def test_orthonormality_check(self, monkeypatch):
+        # no reorthogonalization pass: at q = 0.2 one sweep leaves 1.3e-9
+        assert failing_gns_checks("--q", "0.2", "--lmax2", "8") == []
+        true_sweep = gns._project_out
+        calls = itertools.count()
+        monkeypatch.setattr(gns, "_project_out", lambda u, cu, done, rows, m:
+                            true_sweep(u, cu, done, rows, m) if next(calls) % 2 == 0 else (u, cu))
+        assert failing_gns_checks("--q", "0.2", "--lmax2", "8") == ["orthonormality"]
+
+    def test_label_count_check(self, monkeypatch):
+        # the deepest label of the charge-(0, 0) sector goes missing
+        true_labels = gns.sector_labels
+        monkeypatch.setattr(gns, "sector_labels", lambda lmax2: [
+            (s, labels[:-1] if s == (0, 0) else labels) for s, labels in true_labels(lmax2)])
+        assert failing_gns_checks("--q", "0.5") == ["label counts (2l+1)^2"]
+
+    def test_overlap_check(self, monkeypatch):
+        # one x power too many in the weights of the a*-power sectors: the
+        # closed-form matrix coefficients are no longer orthogonal there
+        true_weights = gns._sector_weights
+        monkeypatch.setattr(gns, "_sector_weights", lambda c1, c2, q: true_weights(c1, c2, q)
+                            * (np.sqrt(gns._grid(q)) if c1 < 0 else 1.0))
+        assert failing_gns_checks("--q", "0.5") == ["matrix coefficients match Gram-Schmidt"]
