@@ -35,14 +35,17 @@ l - max(|j|, |k|) counting depth inside the sector.  The orthogonal
 polynomials are little q-Jacobi polynomials in base q^2 with parameters
 a = q^(2|c2|), b = q^(2|c1|) and, on the c1 > 0 branch, the argument
 rescaled by q^(-2 c1) (a*^k a^k = prod (1 - q^(-2i) x) kills the first k
-nodes); `t_matrix` builds them from that closed form.
+nodes); `t_matrix` builds them from that closed form, its node vectors
+through a terminating 3phi1 transformation that does not cancel at small q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,11 +108,16 @@ class GNSVector:
     """An algebra element regarded as a vector under the pairing h(u* v).
 
     ``nodes``, when given, maps charge sectors to the element's node
-    vectors, which every pairing then reads in place of evaluating ``poly``.
+    vectors, which every pairing then reads in place of evaluating ``poly``;
+    it is kept as a read-only mapping.
     """
 
     poly: NCPolynomial
     nodes: dict | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.nodes is not None:
+            object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
 
 
 class GramSingularError(RuntimeError):
@@ -209,6 +217,37 @@ def _jacobi_coefficients(n: int, a: float, b: float, qsq: float):
         den1 *= 1.0 - a * qsq ** k
         den2 *= 1.0 - qsq ** k
         yield num1 * num2 / (den1 * den2) * qsq ** k
+
+
+def _transformed_coefficients(n: int, a: float, b: float, qsq: float):
+    """The factors r_j, j = 1..n, with which the terms of the 3phi1 in
+    `_little_jacobi_at` grow: term_j = term_(j-1) r_j (1 - qsq^(k + 1 - j))."""
+    for j in range(1, n + 1):
+        yield ((1.0 - qsq ** (j - 1 - n)) * (1.0 - a * b * qsq ** (n + j))
+               / ((1.0 - b * qsq ** j) * (1.0 - qsq ** j) * a))
+
+
+def _little_jacobi_at(n: int, a: float, b: float, qsq: float, x: np.ndarray) -> np.ndarray:
+    """p_n(y; a, b | qsq) at the nodes y = x_k = qsq^k, k = 0 .. len(x) - 1
+    (x_0 = 1 exactly), by the terminating transformation
+
+        p_n(y) = (b Q; Q)_n / (a Q; Q)_n (-a)^n Q^(n (n+1) / 2)
+                 3phi1(Q^-n, a b Q^(n+1), 1/y; b Q; Q, y / a),    Q = qsq.
+
+    At node k its series stops at j = k (the factor 1 - x_0 is 0), and its
+    terms grow fast at small q, so the last one dominates: where the
+    defining 2phi1 and the three-term recurrence cancel (the first nodes,
+    where p_n nearly vanishes), this sum does not."""
+    term = np.ones(len(x))
+    total = np.ones(len(x))
+    for j, r in enumerate(_transformed_coefficients(n, a, b, qsq), start=1):
+        # term j carries 1 - x_(k+1-j); below k = j - 1 it is already 0
+        term[j - 1:] *= r * (1.0 - x[:len(x) - j + 1])
+        total += term
+    prefactor = (-a) ** n * qsq ** (n * (n + 1) // 2)
+    for i in range(1, n + 1):
+        prefactor *= (1.0 - b * qsq ** i) / (1.0 - a * qsq ** i)
+    return prefactor * total
 
 
 def little_jacobi(n: int, a: float, b: float, qsq: float, x: NCPolynomial) -> NCPolynomial:
@@ -330,13 +369,14 @@ def _pair(gu: dict, gv: dict, q: float) -> complex:
     return (1.0 - q * q) * total
 
 
-def action_weights(a: NCPolynomial, c1: int) -> dict[tuple[int, int], np.ndarray]:
+def action_weights(a: NCPolynomial, c1) -> dict[tuple[int, int], np.ndarray]:
     """Per charge shift (k, d) of a's terms, the node weights with which pi(a)
     maps sector (c1, c2) to (c1 + k, c2 + d): the sum of (1 - q^2) c_m
-    W_m(n - c1) over those terms, the pairing's constant included."""
+    W_m(n - c1) over those terms, the pairing's constant included.  An
+    array of c1 values gives one row of weights per value."""
     _require_deformed(a.qp)
     q = a.qp.q
-    f = np.arange(len(_grid(q))) - c1
+    f = np.arange(len(_grid(q))) - np.asarray(c1)[..., None]
     out: dict[tuple[int, int], np.ndarray] = {}
     for m, c in a.terms.items():
         w = (1.0 - q * q) * c * _level_weights(m, q, f)
@@ -374,38 +414,101 @@ def sector_moment(c1: int, c2: int, p: int, qp: QParam) -> float:
 # Orthonormal basis
 # ---------------------------------------------------------------------------
 
-@dataclass
+class SectorStacks(NamedTuple):
+    """A basis's node vectors, stacked by charge sector.
+
+    Sector i, with charges ``sectors[i]``, holds the members
+    ``start[i]:start[i + 1]``: member m is the node vector ``nodes[m]`` of
+    the entry with label index ``label[m]``, in label order.  An entry with
+    components in several sectors is a member of each.
+    """
+
+    sectors: tuple[tuple[int, int], ...]
+    start: np.ndarray
+    label: np.ndarray
+    nodes: np.ndarray
+
+    def shift_pairs(self, shift: tuple[int, int]):
+        """Every member pair (row, column) whose row sector is the column's
+        sector plus ``shift``, with the column's sector index: the entries of
+        the blocks V_s'^H diag(w) V_s of one charge shift, block by block."""
+        index = {s: i for i, s in enumerate(self.sectors)}
+        src, tgt = [], []
+        for i, (c1, c2) in enumerate(self.sectors):
+            j = index.get((c1 + shift[0], c2 + shift[1]))
+            if j is not None:
+                src.append(i)
+                tgt.append(j)
+        count = np.diff(self.start)
+        n_src, n_tgt = count[src], count[tgt]
+        sizes = n_src * n_tgt
+        block = np.repeat(np.arange(len(src)), sizes)
+        k = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rows = self.start[tgt][block] + k // n_src[block]
+        cols = self.start[src][block] + k % n_src[block]
+        return rows, cols, np.asarray(src, dtype=int)[block]
+
+
+@dataclass(frozen=True)
 class GNSBasis:
     """Orthonormal family e^(l)_{jk}, keyed by doubled labels (l2, j2, k2).
 
     ``norms`` records the Gram-Schmidt diagonal (the length of the component
-    orthogonal to lower filtration layers) for each label.
+    orthogonal to lower filtration layers) for each label.  Immutable: the
+    mappings are read-only and the node arrays are not writable, so one
+    instance can be shared (`gram_schmidt_basis` memoizes it).
     """
 
     lmax: HalfInt
     entries: dict[tuple[int, int, int], GNSVector]
     norms: dict[tuple[int, int, int], float]
 
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "norms", MappingProxyType(dict(self.norms)))
+
     @property
     def lmax2(self) -> int:
         return self.lmax.twice
 
+    @cached_property
+    def _labels(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(sorted(self.entries))
+
     def labels(self) -> list[tuple[int, int, int]]:
-        return sorted(self.entries.keys())
+        return list(self._labels)
+
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        """The sorted labels as an (n, 3) integer array."""
+        out = np.array(self._labels, dtype=int).reshape(-1, 3)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def qparams(self) -> frozenset:
+        """The deformation parameters of the entries: one, for a built basis."""
+        return frozenset(e.poly.qp for e in self.entries.values())
 
     def vector(self, l, j, k) -> GNSVector:
         return self.entries[(halfint(l).twice, halfint(j).twice, halfint(k).twice)]
 
-    def sector_nodes(self, labels) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """Per charge sector: the positions in ``labels`` of the entries with a
-        node vector there, and those vectors stacked as rows."""
+    @cached_property
+    def stacks(self) -> SectorStacks:
+        """The entries' node vectors stacked per charge sector, built once."""
         groups: dict[tuple[int, int], list] = {}
-        for i, lab in enumerate(labels):
+        for i, lab in enumerate(self._labels):
             entry = self.entries[lab]
             for sector, vec in _nodes_of(entry, entry.poly.qp.q).items():
                 groups.setdefault(sector, []).append((i, vec))
-        return {s: (np.array([i for i, _ in members]), np.array([v for _, v in members]))
-                for s, members in groups.items()}
+        sectors = tuple(sorted(groups))
+        members = [m for s in sectors for m in groups[s]]
+        start = np.cumsum([0] + [len(groups[s]) for s in sectors])
+        label = np.array([i for i, _ in members], dtype=int)
+        nodes = np.array([v for _, v in members])
+        for arr in (start, label, nodes):
+            arr.setflags(write=False)
+        return SectorStacks(sectors, start, label, nodes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -436,6 +539,12 @@ def _project_out(u: np.ndarray, cu: np.ndarray, done: list, rows: np.ndarray, me
     return u, cu
 
 
+# Bases `gram_schmidt_basis` keeps.  Node vectors grow like 1 / (1 - q): at
+# q = 0.999 one lmax2 = 8 basis holds about 120 MB, so the memo stays small.
+BASIS_MEMO_SIZE = 4
+
+
+@lru_cache(maxsize=BASIS_MEMO_SIZE)
 def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
     """Orthonormalize the degree filtration sector by sector, in node space.
 
@@ -447,6 +556,11 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
     leading part of a higher one's.  The x-coefficients follow the same
     operations; the leading one, 1 / norm, is positive.  A residual below
     1e-150 (extreme q) raises GramSingularError.
+
+    One immutable basis per (lmax2, qp) is memoized, at most
+    BASIS_MEMO_SIZE of them, least recently used first out: near q = 1 a
+    basis is large (about 120 MB at q = 0.999, lmax2 = 8), and
+    ``gram_schmidt_basis.cache_clear()`` releases them all.
     """
     if not 0 <= lmax2 <= LMAX2_CAP:
         raise ValueError(f"basis construction is desk-scale, need 0 <= lmax2 <= {LMAX2_CAP}")
@@ -492,6 +606,20 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
     return GNSBasis(HalfInt(lmax2), entries, norms)
 
 
+def _matrix_coefficient_series(c1: int, c2: int, depth: int, qp: QParam) -> NCPolynomial:
+    """Sector (c1, c2)'s base monomial times p_depth(x'), x' = q^(-2 c1) b b*
+    on the c1 > 0 branch, from the closed-form x-coefficients: the k-th power
+    of the scale by repeated complex products, times the series coefficient."""
+    q = qp.q
+    scale = complex(q ** (-2 * c1)) if c1 > 0 else 1.0 + 0.0j
+    power = 1.0 + 0.0j
+    coeffs = [power]
+    for coeff in _jacobi_coefficients(depth, q ** (2 * abs(c2)), q ** (2 * abs(c1)), q * q):
+        power = power * scale
+        coeffs.append(coeff * power)
+    return NCPolynomial(qp, {_sector_base_monomial(c1, c2, t): c for t, c in enumerate(coeffs)})
+
+
 def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     """Normalized matrix coefficient t^(l)_{jk} as an algebra element.
 
@@ -505,13 +633,14 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     positive, matching `gram_schmidt_basis` up to that convention.
 
     The x-coefficients are scalars, formed with the float operations of
-    `little_jacobi` on x' = q^(-2 c1) b b*, in the same order: the k-th
-    power of the scale by repeated complex products, times the series
-    coefficient.  So the entry equals that NCPolynomial route bitwise.  The
-    norm is that of the element's node vector, as `gns_inner` pairs it; a
-    self-pairing that is not positive raises GramSingularError naming the
-    sector and the depth.  The degree cap of `mul` applies to twice the
-    element's degree.
+    `little_jacobi` on x' = q^(-2 c1) b b*, in the same order
+    (`_matrix_coefficient_series`); they are kept for printing.  The node
+    vector comes from a terminating transformation of the series evaluated
+    at the nodes (`_little_jacobi_at`), not from those coefficients, whose
+    sum cancels at small q.  The norm is that of the node vector, as
+    `gns_inner` pairs it; a self-pairing that is not positive raises
+    GramSingularError naming the sector and the depth.  The degree cap of
+    `mul` applies to twice the element's degree.
     """
     l2, j2, k2 = halfint(l).twice, halfint(j).twice, halfint(k).twice
     if abs(j2) > l2 or abs(k2) > l2:
@@ -522,39 +651,40 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     c1, c2 = sector_of_label(j2, k2)
     depth = (l2 - max(abs(j2), abs(k2))) // 2
     q = qp.q
-    scale = complex(q ** (-2 * c1)) if c1 > 0 else 1.0 + 0.0j
-    power = 1.0 + 0.0j
-    coeffs = [power]
-    for coeff in _jacobi_coefficients(depth, q ** (2 * abs(c2)), q ** (2 * abs(c1)), q * q):
-        power = power * scale
-        coeffs.append(coeff * power)
-    vec = NCPolynomial(qp, {_sector_base_monomial(c1, c2, t): c for t, c in enumerate(coeffs)})
+    a, b = q ** (2 * abs(c2)), q ** (2 * abs(c1))
+    vec = _matrix_coefficient_series(c1, c2, depth, qp)
     if 2 * vec.degree() > qp.max_degree:
         raise DegreeOverflowError(
             f"pairing degree {2 * vec.degree()} exceeds cap {qp.max_degree}")
-    nodes = _node_form(vec, q)
-    norm_sq = _pair(nodes, nodes, q).real
+    # the sector's weights vanish below node c1 > 0, and at node n >= c1 the
+    # rescaled argument is q^(2 (n - c1)), the grid's node n - c1
+    x = _grid(q)
+    start = max(c1, 0)
+    nodes = np.zeros(len(x))
+    nodes[start:] = (_sector_weights(c1, c2, q)[start:]
+                     * _little_jacobi_at(depth, a, b, q * q, x[:len(x) - start]))
+    norm_sq = (1.0 - q * q) * float(np.dot(nodes, nodes))
     if not norm_sq > 0.0:
         raise GramSingularError(
             f"sector {(c1, c2)} depth {depth}: self-pairing {norm_sq:.3e} of the "
             f"matrix coefficient l2={l2} j2={j2} k2={k2} is not positive")
-    inv_norm = 1.0 / math.sqrt(norm_sq)
-    unit = vec * inv_norm
-    phase = _phase(unit)
-    return GNSVector(unit * phase, {(c1, c2): nodes[(c1, c2)] * (inv_norm * phase)})
+    scale = _phase(vec) / math.sqrt(norm_sq)
+    return GNSVector(vec * scale, {(c1, c2): nodes * scale})
 
 
 def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:
     """Worst deviation |<e_i, e_j> - delta_ij| of the basis from orthonormality.
 
-    The Gram of the entries' node vectors, sector by sector: entries that
-    share no sector pair to an exact 0, and a component in a foreign sector
-    still meets that sector's entries there.  An entry without components
-    reads as a defect of 1.
+    The Gram of the entries' node vectors, every member pair of every
+    sector in one contraction: entries that share no sector pair to an exact
+    0, and a component in a foreign sector still meets that sector's entries
+    there.  An entry without components reads as a defect of 1.
     """
     _require_deformed(qp)
-    labels = basis.labels()
-    gram = np.zeros((len(labels), len(labels)), dtype=complex)
-    for idx, rows in basis.sector_nodes(labels).values():
-        gram[np.ix_(idx, idx)] += (1.0 - qp.q * qp.q) * (rows.conj() @ rows.T)
-    return float(np.max(np.abs(gram - np.eye(len(labels)))))
+    st = basis.stacks
+    rows, cols, _ = st.shift_pairs((0, 0))
+    n = len(basis.entries)
+    gram = np.zeros((n, n), dtype=complex)
+    np.add.at(gram, (st.label[rows], st.label[cols]),
+              (1.0 - qp.q * qp.q) * (np.conjugate(st.nodes[rows]) * st.nodes[cols]).sum(axis=-1))
+    return float(np.max(np.abs(gram - np.eye(n))))

@@ -497,8 +497,10 @@ def module_decompose(x: NCPolynomial) -> list[tuple[NCPolynomial, int]]:
 # Enumeration and sampling helpers (shared by verification suites and tests)
 # ---------------------------------------------------------------------------
 
-def monomials_up_to(max_degree: int, parity: str | None = None):
-    """All canonical monomials of total degree <= max_degree, optionally one parity."""
+@lru_cache(maxsize=64)
+def monomials_up_to(max_degree: int, parity: str | None = None) -> tuple[CanonicalMonomial, ...]:
+    """All canonical monomials of total degree <= max_degree, optionally one
+    parity, by degree, then alpha exponent, then b exponent; memoized."""
     out = []
     for d in range(max_degree + 1):
         if parity == "even" and d % 2:
@@ -509,7 +511,7 @@ def monomials_up_to(max_degree: int, parity: str | None = None):
             rest = d - abs(a)
             for n in range(rest + 1):
                 out.append(CanonicalMonomial(a, n, rest - n))
-    return out
+    return tuple(out)
 
 
 def random_word(rng, max_len: int, min_len: int = 1, with_coefficient: bool = False) -> Word:

@@ -29,7 +29,6 @@ from .ncpoly import (
 from .gns import (
     GNSBasis, HalfInt, action_weights, gns_inner, gram_schmidt_basis, halfint,
 )
-from .rep import operator_norm
 from .report import CheckResult, all_passed
 
 __all__ = [
@@ -56,6 +55,11 @@ class DiracSpec:
 
     def parity(self, l) -> int:
         return -1 if halfint(l).twice % 2 else 1
+
+    def diagonal(self, labels: np.ndarray) -> np.ndarray:
+        """d(l, j) for each row (l2, j2, k2) of an integer label array."""
+        l2, j2 = labels[:, 0], labels[:, 1]
+        return np.where(j2 == l2, -(l2 + 1), l2 + 1)
 
 
 def dirac_labels(lmax2: int) -> list[tuple[int, int, int]]:
@@ -85,28 +89,57 @@ def check_parity(basis: GNSBasis) -> list[CheckResult]:
     return out
 
 
+def _pi_entries(a: NCPolynomial, basis: GNSBasis, row_ok: np.ndarray, col_ok: np.ndarray):
+    """The entries of pi(a) that its charges allow between rows and columns
+    where the label masks hold: label-index arrays (row, column) and values.
+
+    pi(a) is diagonal on node vectors (`gns.action_weights`), so the block
+    from sector s to s' is V_s'^H diag(w) V_s.  Per charge shift of a, the
+    entries of all its blocks are formed in one contraction over the nodes;
+    each sums over the nodes of its own two vectors alone, so its bits do
+    not depend on the other labels.  An entry with components in several
+    sectors yields one entry per sector pair; they add up.
+    """
+    st = basis.stacks
+    c1s, sector_c1 = np.unique([c1 for c1, _ in st.sectors], return_inverse=True)
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, complex)]
+    for shift, w in action_weights(a, c1s).items():
+        ri, ci, src = st.shift_pairs(shift)
+        keep = row_ok[st.label[ri]] & col_ok[st.label[ci]]
+        ri, ci, src = ri[keep], ci[keep], src[keep]
+        prod = w[sector_c1[src]]
+        prod *= st.nodes[ci]
+        prod *= np.conjugate(st.nodes[ri])
+        vals.append(prod.sum(axis=-1))
+        rows.append(st.label[ri])
+        cols.append(st.label[ci])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _positions(basis: GNSBasis, labels) -> np.ndarray:
+    """Per label index of the basis, its position in ``labels``, or -1."""
+    index = {lab: i for i, lab in enumerate(basis.labels())}
+    pos = np.full(len(index), -1)
+    pos[[index[lab] for lab in labels]] = np.arange(len(labels))
+    return pos
+
+
 def pi_matrix(a: NCPolynomial, basis: GNSBasis,
               row_labels=None, col_labels=None) -> np.ndarray:
     """Matrix of left multiplication by ``a`` in the orthonormal basis.
 
-    Entry (r, c) is <e_r, a e_c>.  pi(a) is diagonal on node vectors
-    (`gns.action_weights`), so the block from sector s to s' is
-    V_s'^H diag(w) V_s; charge-incompatible blocks vanish and are never
-    formed.  Each entry sums over the nodes of its two vectors alone, so its
-    bits do not depend on the other labels.  Mixed q raises ValueError.
+    Entry (r, c) is <e_r, a e_c>: the dense view of the sector blocks of
+    `_pi_entries`; charge-incompatible blocks vanish and are never formed.
+    A basis entry at another q than a's raises ValueError.
     """
+    if basis.qparams != {a.qp}:
+        raise ValueError("mixed deformation parameters")
     rows = list(row_labels if row_labels is not None else basis.labels())
     cols = list(col_labels if col_labels is not None else basis.labels())
-    if any(basis.entries[lab].poly.qp != a.qp for lab in (*rows, *cols)):
-        raise ValueError("mixed deformation parameters")
-    row_nodes, col_nodes = basis.sector_nodes(rows), basis.sector_nodes(cols)
-    weights = {c1: action_weights(a, c1) for c1, _ in col_nodes}
+    row_pos, col_pos = _positions(basis, rows), _positions(basis, cols)
+    r, c, v = _pi_entries(a, basis, row_pos >= 0, col_pos >= 0)
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for (c1, c2), (ci, vc) in col_nodes.items():
-        for (d1, d2), w in weights[c1].items():
-            if (c1 + d1, c2 + d2) in row_nodes:
-                ri, vr = row_nodes[c1 + d1, c2 + d2]
-                mat[np.ix_(ri, ci)] += (vr.conj()[:, None, :] * (w * vc)[None, :, :]).sum(axis=-1)
+    np.add.at(mat, (row_pos[r], col_pos[c]), v)
     return mat
 
 
@@ -118,47 +151,120 @@ def _guard_cut(lmax2: int, degree: int) -> int:
     return cut
 
 
+def _commutator_entries(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec):
+    """[D, pi(a)] over the guard-banded domain as label-index arrays (row,
+    column) and values: the entries of `_pi_entries` times d_r - d_c."""
+    if basis.qparams != {a.qp}:
+        raise ValueError("mixed deformation parameters")
+    l2 = basis.label_array[:, 0]
+    cut = _guard_cut(basis.lmax2, max(a.degree(), 0))
+    r, c, v = _pi_entries(a, basis, np.ones(len(l2), dtype=bool), l2 <= cut)
+    d = spec.diagonal(basis.label_array)
+    return r, c, (d[r] - d[c]) * v
+
+
 def commutator_matrix(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec) -> np.ndarray:
     """[D, pi(a)] over the guard-banded domain.
 
     Columns are restricted to labels with l <= lmax - deg(a) so that a e^(l)
     expands entirely inside the built basis (no cutoff leakage); rows span
     the full basis, so the matrix is the exact action on the banded domain
-    and its norm grows monotonically with lmax.
+    and its norm grows monotonically with lmax.  The dense view of
+    `_commutator_entries`.
     """
+    r, c, v = _commutator_entries(a, basis, spec)
+    l2 = basis.label_array[:, 0]
     cut = _guard_cut(basis.lmax2, max(a.degree(), 0))
-    rows = basis.labels()
-    cols = [lab for lab in rows if lab[0] <= cut]
-    pi = pi_matrix(a, basis, rows, cols)
-    d_row = np.array([spec.d(HalfInt(l2), HalfInt(j2)) for (l2, j2, _) in rows])
-    d_col = np.array([spec.d(HalfInt(l2), HalfInt(j2)) for (l2, j2, _) in cols])
-    return d_row[:, None] * pi - pi * d_col[None, :]
+    mat = np.zeros((len(l2), int(np.sum(l2 <= cut))), dtype=complex)
+    np.add.at(mat, (r, c), v)
+    return mat
+
+
+def _connected_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Per node 0..n-1, the smallest node of its connected component under
+    the edges (u, v): minimum-label propagation with pointer jumping."""
+    root = np.arange(n)
+    while True:
+        low = np.minimum(root[u], root[v])
+        new = root.copy()
+        np.minimum.at(new, u, low)
+        np.minimum.at(new, v, low)
+        new = new[new]
+        if np.array_equal(new, root):
+            return root
+        root = new
+
+
+def _ranks(groups: np.ndarray) -> np.ndarray:
+    """Per element, how many earlier elements share its group value."""
+    order = np.argsort(groups, kind="stable")
+    sorted_groups = groups[order]
+    first = np.flatnonzero(np.r_[True, sorted_groups[1:] != sorted_groups[:-1]])
+    starts = np.repeat(first, np.diff(np.r_[first, len(groups)]))
+    rank = np.empty(len(groups), dtype=int)
+    rank[order] = np.arange(len(groups)) - starts
+    return rank
+
+
+def _component_layout(rows: np.ndarray, cols: np.ndarray):
+    """The connected components of the bipartite graph with the edges
+    (rows[e], cols[e]): per edge, its component's index and the positions
+    of its row and its column among the component's rows and columns, both
+    in increasing order."""
+    row_nodes, row_of = np.unique(rows, return_inverse=True)
+    col_nodes, col_of = np.unique(cols, return_inverse=True)
+    n_rows = len(row_nodes)
+    root = _connected_roots(row_of, n_rows + col_of, n_rows + len(col_nodes))
+    _, component = np.unique(root[row_of], return_inverse=True)
+    return component, _ranks(root[:n_rows])[row_of], _ranks(root[n_rows:])[col_of]
 
 
 def commutator_norm_scan(a: NCPolynomial, qp: QParam, lmax2_list) -> list[float]:
     """Norm of the guarded commutator at increasing cutoffs (nondecreasing).
 
-    One basis and one guarded commutator are built at the top cutoff.  Labels
-    sort by l2 and a lower cutoff's basis vectors are bitwise those of the
-    top basis, so the commutator at cutoff L is the leading block of rows
-    l2 <= L and guarded columns l2 <= L - 2 deg(a): the values equal those
-    of a basis and commutator rebuilt at every cutoff.
+    One basis and the commutator's entries are built at the top cutoff.
+    Labels sort by l2 and a lower cutoff's basis vectors are bitwise those
+    of the top basis, so the commutator at cutoff L is the top one
+    restricted to rows l2 <= L and guarded columns l2 <= L - 2 deg(a).
+    Its norm is the largest over the connected components of its sector
+    graph (rows and columns joined by the entries the charges allow): one
+    block per source sector for a single-charge element, chains of blocks
+    for several charges.  The components of all cutoffs go through one
+    batched SVD per component shape, so each one's singular values do not
+    depend on the others, and the values equal those of a scan rebuilt at
+    every cutoff.
     """
     cutoffs = list(lmax2_list)
     if not cutoffs:
         return []
+    deg = max(a.degree(), 0)
+    cuts = [_guard_cut(lmax2, deg) for lmax2 in cutoffs]
     top = max(cutoffs)
     basis = gram_schmidt_basis(top, qp)
-    comm = commutator_matrix(a, basis, DiracSpec(HalfInt(top)))
-    deg = max(a.degree(), 0)
-    l2s = [lab[0] for lab in basis.labels()]
-    out = []
-    for lmax2 in cutoffs:
-        cut = _guard_cut(lmax2, deg)
-        rows = sum(1 for l2 in l2s if l2 <= lmax2)
-        cols = sum(1 for l2 in l2s if l2 <= cut)
-        out.append(operator_norm(comm[:rows, :cols]))
-    return out
+    r, c, v = _commutator_entries(a, basis, DiracSpec(HalfInt(top)))
+    l2, n = basis.label_array[:, 0], len(basis.entries)
+    live = (l2[r] <= np.array(cutoffs)[:, None]) & (l2[c] <= np.array(cuts)[:, None])
+    scan, edge = np.nonzero(live)
+    norms = np.zeros(len(cutoffs))
+    if not len(edge):
+        return norms.tolist()
+    # one copy of the graph per cutoff: node ids scan * n + label index
+    component, row_pos, col_pos = _component_layout(scan * n + r[edge], scan * n + c[edge])
+    n_comp = component.max() + 1
+    height, width, owner = (np.zeros(n_comp, dtype=int) for _ in range(3))
+    np.maximum.at(height, component, row_pos + 1)
+    np.maximum.at(width, component, col_pos + 1)
+    owner[component] = scan
+    shape = height * (width.max() + 1) + width
+    order = np.argsort(shape, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
+        slot = np.full(n_comp, -1)
+        slot[members] = np.arange(len(members))
+        sel = slot[component] >= 0
+        blocks = np.zeros((len(members), height[members[0]], width[members[0]]), dtype=complex)
+        np.add.at(blocks, (slot[component[sel]], row_pos[sel], col_pos[sel]), v[edge[sel]])
+        np.maximum.at(norms, owner[members], np.linalg.svd(blocks, compute_uv=False)[:, 0])
+    return norms.tolist()
 
 
 def summability_scan(lmax2: int, s: float) -> list[dict]:
@@ -272,7 +378,7 @@ def assemble_unoriented_triple(lmax2: int, qp: QParam, seed: int = 0,
     rng = random.Random(seed)
     checks = []
 
-    d_diag = np.array([spec.d(HalfInt(l2), HalfInt(j2)) for (l2, j2, _) in labels], dtype=float)
+    d_diag = spec.diagonal(basis.label_array).astype(float)
     g_diag = np.array([spec.parity(HalfInt(l2)) for (l2, _, _) in labels], dtype=float)
     comm = np.max(np.abs(g_diag * d_diag - d_diag * g_diag))
     checks.append(CheckResult("g commutes with D", comm == 0.0,

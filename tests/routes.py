@@ -7,9 +7,9 @@ phase-fixed by `_sign_fix` (the basis algorithm before node vectors; it
 loses digits with depth), the matrix coefficient through `little_jacobi` on
 an algebra element, one `gns_inner` call per entry of pi on the expanded
 product, and unit columns pushed through `rep.apply_poly_to_columns`.  The
-matrix coefficient and the Haar sum perform the float operations of the
-production routes in the same order, so they must agree bitwise; the
-others agree to a tolerance.
+unnormalized matrix coefficient and the Haar sum perform the float
+operations of the production routes in the same order, so they must agree
+bitwise; the others agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -62,18 +62,23 @@ def gram_schmidt_entries(lmax2: int, qp: QParam):
     return entries, norms
 
 
-def t_matrix(l, j, k, qp: QParam) -> GNSVector:
-    """The matrix coefficient as base monomial times `little_jacobi` at
-    x' = q^(-2 c1) b b*, normalized through `sector_pair`."""
-    l2, j2, k2 = halfint(l).twice, halfint(j).twice, halfint(k).twice
-    c1, c2 = sector_of_label(j2, k2)
-    depth = (l2 - max(abs(j2), abs(k2))) // 2
+def matrix_coefficient_series(c1: int, c2: int, depth: int, qp: QParam) -> NCPolynomial:
+    """Sector (c1, c2)'s base monomial times `little_jacobi` at
+    x' = q^(-2 c1) b b* (on the c1 > 0 branch), unnormalized."""
     q = qp.q
     x = mul(NCPolynomial.generator(qp, BETA), NCPolynomial.generator(qp, BETA_STAR))
     if c1 > 0:
         x = x * (q ** (-2 * c1))
     poly = little_jacobi(depth, q ** (2 * abs(c2)), q ** (2 * abs(c1)), q * q, x)
-    vec = mul(NCPolynomial.monomial(qp, _sector_base_monomial(c1, c2, 0)), poly)
+    return mul(NCPolynomial.monomial(qp, _sector_base_monomial(c1, c2, 0)), poly)
+
+
+def t_matrix(l, j, k, qp: QParam) -> GNSVector:
+    """The matrix coefficient `matrix_coefficient_series`, normalized through
+    `sector_pair` on its expanded coefficients."""
+    l2, j2, k2 = halfint(l).twice, halfint(j).twice, halfint(k).twice
+    c1, c2 = sector_of_label(j2, k2)
+    vec = matrix_coefficient_series(c1, c2, (l2 - max(abs(j2), abs(k2))) // 2, qp)
     nrm = math.sqrt(sector_pair(vec, vec, qp).real)
     return GNSVector(_sign_fix(vec * (1.0 / nrm)))
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -384,6 +385,7 @@ class TestGramSchmidt:
         def node_vectors(q):
             gns._grid.cache_clear()
             gns._sector_weights.cache_clear()
+            gns.gram_schmidt_basis.cache_clear()
             basis = gram_schmidt_basis(8, QParam(q))
             return {k: next(iter(v.nodes.values())) for k, v in basis.entries.items()}
 
@@ -398,6 +400,38 @@ class TestGramSchmidt:
             for key, vec in base.items():
                 assert np.max(np.abs(doubled[key][:n] - vec)) <= 1e-15, (q, key)
                 assert np.sum(doubled[key][n:] ** 2) <= 1e-16, (q, key)
+
+    def test_cached_basis_rejects_mutation(self, qp):
+        basis = gram_schmidt_basis(4, qp)
+        assert gram_schmidt_basis(4, qp) is basis
+        entry = basis.entries[(2, 0, 0)]
+        with pytest.raises(TypeError):
+            basis.entries[(2, 0, 0)] = basis.entries[(0, 0, 0)]
+        with pytest.raises(TypeError):
+            basis.norms[(2, 0, 0)] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.lmax = HalfInt(2)
+        with pytest.raises(TypeError):
+            entry.nodes[(1, 0)] = entry.nodes[(0, 0)]
+        for array in (entry.nodes[(0, 0)], basis.stacks.nodes, basis.label_array):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # a basis assembled from plain dicts holds copies of them
+        entries = dict(basis.entries)
+        rebuilt = GNSBasis(basis.lmax, entries, basis.norms)
+        entries.clear()
+        assert rebuilt.labels() == basis.labels()
+
+    def test_basis_memo_is_bounded(self):
+        # near q = 1 a basis is large (120 MB at q = 0.999), so the memo
+        # keeps at most BASIS_MEMO_SIZE of them
+        memo = gns.gram_schmidt_basis
+        assert memo.cache_info().maxsize == gns.BASIS_MEMO_SIZE
+        for q in (0.3, 0.5):
+            for lmax2 in range(gns.BASIS_MEMO_SIZE + 2):
+                gram_schmidt_basis(lmax2, QParam(q))
+                assert memo.cache_info().currsize <= gns.BASIS_MEMO_SIZE
+        assert memo.cache_info().currsize == gns.BASIS_MEMO_SIZE
 
     def test_desk_scale_cap(self, qp):
         with pytest.raises(ValueError):
@@ -479,12 +513,20 @@ class TestMatrixCoefficients:
 
     @pytest.mark.parametrize("q", (0.3, 0.5, 0.8))
     def test_equals_little_jacobi_route_bitwise(self, q):
+        # the x-coefficients before normalization are bitwise those of
+        # little_jacobi on an algebra element; the entries then differ only
+        # in the norm, which t_matrix reads from its node vector and the
+        # route from the expanded coefficients (8.6e-15 apart at q = 0.8)
         qp = QParam(q)
-        for _, labels in sector_labels(8):
-            for (l2, j2, k2) in labels:
+        for (c1, c2), labels in sector_labels(8):
+            for depth, (l2, j2, k2) in enumerate(labels):
+                assert same_bits(gns._matrix_coefficient_series(c1, c2, depth, qp),
+                                 routes.matrix_coefficient_series(c1, c2, depth, qp))
                 label = (HalfInt(l2), HalfInt(j2), HalfInt(k2))
-                assert same_bits(t_matrix(*label, qp).poly,
-                                 routes.t_matrix(*label, qp).poly), (l2, j2, k2)
+                got, want = t_matrix(*label, qp).poly, routes.t_matrix(*label, qp).poly
+                assert set(got.terms) == set(want.terms), (l2, j2, k2)
+                for mon, c in want.terms.items():
+                    assert abs(got.terms[mon] - c) <= 1e-13 * abs(c), (l2, j2, k2)
 
     @pytest.mark.parametrize("q", (0.1, 0.2, 0.3, 0.5, 0.8))
     def test_self_pairs_to_one_at_every_label(self, q):
@@ -495,6 +537,17 @@ class TestMatrixCoefficients:
             for (l2, j2, k2) in labels:
                 vec = t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp)
                 assert abs(gns_inner(vec, vec) - 1.0) <= 1e-12, (l2, j2, k2)
+
+    @pytest.mark.parametrize("q", (0.1, 0.2, 0.5, 0.9))
+    def test_node_vectors_match_gram_schmidt_at_every_label(self, q):
+        # the transformed series at the nodes: at most 7.8e-16 from 0.02 to
+        # 0.99; the expanded coefficients missed (8, 0, 0) by 0.737 at q =
+        # 0.1, the three-term recurrence by 2.1e-3
+        qp = QParam(q)
+        basis = gram_schmidt_basis(8, qp)
+        for (l2, j2, k2), entry in basis.entries.items():
+            tv = t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp)
+            assert 1.0 - abs(gns.sector_pair(tv, entry, qp)) <= 1e-12, (q, l2, j2, k2)
 
     def test_pairing_degree_cap(self, qp):
         # depth 17 in the charge-(0,0) sector: the self-pairing has degree 68
@@ -674,6 +727,23 @@ class TestVerifyGnsMutations:
         monkeypatch.setattr(gns, "sector_labels", lambda lmax2: [
             (s, labels[:-1] if s == (0, 0) else labels) for s, labels in true_labels(lmax2)])
         assert failing_gns_checks("--q", "0.5") == ["label counts (2l+1)^2"]
+
+    def test_overlap_check_at_small_q(self):
+        assert failing_gns_checks("--q", "0.1", "--lmax2", "8") == []
+
+    def test_overlap_check_catches_a_wrong_series_factor(self, monkeypatch):
+        # one q^2 too many in the last growth factor of the transformed
+        # series that gives t_matrix its node vectors
+        true_factors = gns._transformed_coefficients
+
+        def wrong(n, a, b, qsq):
+            factors = list(true_factors(n, a, b, qsq))
+            return factors[:-1] + [factors[-1] * qsq] if factors else factors
+
+        monkeypatch.setattr(gns, "_transformed_coefficients", wrong)
+        assert failing_gns_checks("--q", "0.5") == ["matrix coefficients match Gram-Schmidt"]
+        assert failing_gns_checks("--q", "0.1", "--lmax2", "8") == [
+            "matrix coefficients match Gram-Schmidt"]
 
     def test_overlap_check(self, monkeypatch):
         # one x power too many in the weights of the a*-power sectors: the

@@ -413,6 +413,29 @@ class TestParityProjection:
             assert z2_project(x, "even").allclose((x + z2_act(x)) * 0.5, 1e-13)
 
 
+class TestMonomialEnumeration:
+    def test_memoized_tuple_in_degree_order(self):
+        expected = [CanonicalMonomial(a, n, d - abs(a) - n)
+                    for d in range(5) for a in range(-d, d + 1) for n in range(d - abs(a) + 1)]
+        assert monomials_up_to(4) == tuple(expected)
+        assert monomials_up_to(4) is monomials_up_to(4)
+        assert monomials_up_to(4, parity="odd") == tuple(m for m in expected if m.degree % 2)
+
+    def test_random_polynomial_stream(self, qp):
+        # the draws of seed 7 when the pool was a list rebuilt on every call
+        pinned = {
+            None: {(0, 0, 3): 0.8957307212181265 - 0.21035300715365302j,
+                   (0, 1, 0): -0.8551274266649145 + 0.0717640086133784j,
+                   (0, 3, 0): 0.16557601180671022 + 0.8194081262862045j},
+            "even": {(0, 0, 4): 0.8957307212181265 - 0.21035300715365302j,
+                     (-1, 1, 0): -0.8551274266649145 + 0.0717640086133784j,
+                     (0, 3, 1): 0.16557601180671022 + 0.8194081262862045j},
+        }
+        for parity, want in pinned.items():
+            got = random_polynomial(random.Random(7), qp, max_degree=4, n_terms=3, parity=parity)
+            assert {(m.alpha, m.beta, m.beta_star): c for m, c in got.terms.items()} == want
+
+
 class TestModuleDecompose:
     def test_single_generator(self, qp):
         pairs = module_decompose(gen(qp, ALPHA))
