@@ -165,13 +165,11 @@ def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec, qp: QParam | None = No
     """Truncated diagonal sum (1-q^2) sum_n q^(2n) <(n,0)| x |(n,0)>.
 
     Independent of `haar_exact`: goes through the representation.  Only a
-    word of displacement (0, 0), a charge-(0, 0) monomial, has diagonal
-    entries, and its entry at (n, 0) is its weight grid there; so the sum
-    runs over the z = 0 column of those words' grids, added per Fock level
-    in the order of the monomials.  The values equal those of pushing the
-    unit columns (n, 0) through `rep.apply_poly_to_columns`.  Agreement
-    with `haar_exact` is up to the geometric tail q^(2 fock_dim) plus edge
-    effects.
+    charge-(0, 0) monomial has diagonal entries, its Fock weight f(n) at
+    (n, 0) when z = 0 lies in its z interval (`rep._word_shifts`), added
+    per Fock level in the order of the monomials as pushing the unit columns
+    (n, 0) through `rep.apply_poly_to_columns` does.  Agreement with
+    `haar_exact` is up to the geometric tail q^(2 fock_dim) plus edge effects.
     """
     qp = qp or x.qp
     _require_deformed(qp)
@@ -179,8 +177,8 @@ def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec, qp: QParam | None = No
     diagonal = np.zeros(t.fock_dim, dtype=complex)
     for mon, c in x.terms.items():
         if mon.charges == (0, 0):
-            _, _, grid = _rep._word_shift(mon.letters(), t, qp)
-            diagonal += c * grid[:, t.z_band]
+            _, _, (f,), (lo,), (hi,) = _rep._word_shifts([mon.letters()], t, qp)
+            diagonal += c * f if lo <= t.z_band < hi else 0.0
     total = 0.0 + 0.0j
     for n in range(t.fock_dim):
         total += q ** (2 * n) * diagonal[n]

@@ -12,25 +12,22 @@ exactly on interior vectors (those at least a margin away from the window's
 edges, `interior_indices`) and every edge defect is quantified rather than
 hidden.
 
-Each generator is a weighted shift on the (fock, z) grid, and so is every
-word: a word of charges (c1, c2) sends e_(k, z) to w(k, z) e_(k - c1, z + c2).
-Its weight grid w is built letter by letter in O(length * dim) from two
-vectors cached per window and q, sqrt(1 - q^(2k)) for a and q^k for b.
-That one action serves every caller.  A word acts on a column block, viewed
-as (fock, z, column), by one shifted and scaled slice copy, in
-O(dim * columns) rather than the O(dim^2 * columns) of a dense product.
-`represent` scatters the same grids into a dense matrix; its weights
-multiply in the order of the dense product 1 @ M_1 @ ... @ M_n, so its
-entries are bitwise those of that product.
+Every word is a weighted shift, e_(k, z) -> w(k, z) e_(k - c1, z + c2) for
+its charges (c1, c2), with separable weights w(k, z) = f(k) 1[z in I]: f is
+the product of the letters' Fock weights along the path, sqrt(1 - q^(2k))
+for a and q^k for b, and I the interval of sources whose path stays in the
+z window.  `_word_shifts` builds them for a batch of words, multiplying in
+the order of the dense product 1 @ M_1 @ ... @ M_n, so `represent` scatters
+them into bitwise that product.  A word acts on a column block, viewed as
+(fock, z, column), by one shifted and scaled slice copy.
 
 A relation or normal-form residual is single-sector: each column maps to at
 most one row.  Its norm is reported by `norm_bound` as
 sqrt(max column |.|-sum * max row |.|-sum), which is exact for such a
 weighted partial permutation and an upper bound on the 2-norm of any other
-matrix, so a residual check can only get stricter.  The residuals are taken
-straight from the weight grids: the terms are grouped by displacement, the
-grids of a group summed, and the |.|-sums read over the interior sources, in
-O(terms * dim) time and memory; no column block is formed.
+matrix, so a residual check can only get stricter.  The |.|-sums are read
+from f and I, a batch of residuals at once, at one z per piece on which
+every interval is constant; no fock x z array is formed.
 
 Basis order is row-major (fock, z): index = fock * (2 N_Z + 1) + (z + N_Z).
 """
@@ -47,7 +44,7 @@ import numpy as np
 
 from .ncpoly import (
     ALPHA, ALPHA_STAR, BETA, BETA_STAR,
-    NCPolynomial, QParam, Word, normalize,
+    NCPolynomial, QParam, normalize,
 )
 
 __all__ = [
@@ -88,8 +85,9 @@ class TruncationSpec:
 
 @lru_cache(maxsize=64)
 def _weights(t: TruncationSpec, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights over the Fock levels: sqrt(1 - q^(2k)) for a, q^k for b."""
-    wa = np.array([np.sqrt(1.0 - q ** (2 * k)) for k in range(t.fock_dim)])
+    """Weights over the Fock levels: sqrt(1 - q^(2k)) for a, k = 0 .. fock_dim,
+    the last one zero (a* leaving the window, hard truncation); q^k for b."""
+    wa = np.array([np.sqrt(1.0 - q ** (2 * k)) for k in range(t.fock_dim)] + [0.0])
     wb = np.array([q ** k for k in range(t.fock_dim)])
     wa.setflags(write=False)
     wb.setflags(write=False)
@@ -104,64 +102,63 @@ def _span(n: int, d: int) -> tuple[slice, slice]:
     return slice(lo, hi), slice(lo + d, hi + d)
 
 
-def _shift_slices(t: TruncationSpec, d_fock: int, d_z: int):
-    """(source, target) index pairs on the (fock, z) grid of a displacement."""
-    (fs, ft), (zs, zt) = _span(t.fock_dim, d_fock), _span(t.z_count, d_z)
-    return (fs, zs), (ft, zt)
+# (Fock step, z step) of each letter code; code 4 pads the short words of a batch
+_STEPS = np.array([(-1, 0), (1, 0), (0, 1), (0, -1), (0, 0)])
 
 
-def _word_shift(letters, t: TruncationSpec, qp: QParam) -> tuple[int, int, np.ndarray]:
-    """A word as one weighted shift: e_(k, z) -> grid[k, z] e_(k + d_fock, z + d_z).
+def _word_shifts(words, t: TruncationSpec, qp: QParam):
+    """Words as weighted shifts, (d_fock, d_z, f, lo, hi) with one entry per
+    word: word i sends e_(k, z) to f[i, k] e_(k + d_fock[i], z + d_z[i]) when
+    the z index z + z_band lies in [lo[i], hi[i]), and to 0 otherwise.
 
-    The grid is built letter by letter from the left, each step a shifted
-    and scaled copy of the previous grid, so its weights multiply in the
-    order of the dense product 1 @ M_1 @ ... @ M_n.  A zero marks a source
-    whose path leaves the window (hard truncation).
+    A path leaving the Fock window meets a zero weight (a at level 0, a* at
+    the top level), so whatever its letters read beyond the window (the next
+    row of the flat table, or its clipped ends) is multiplied by zero.
     """
     wa, wb = _weights(t, qp.q)
-    # (fock step, z step, weight by source Fock level); a* e_k = wa[k+1] e_(k+1)
-    steps = {
-        ALPHA: (-1, 0, wa),
-        ALPHA_STAR: (1, 0, np.append(wa[1:], 0.0)),
-        BETA: (0, 1, wb),
-        BETA_STAR: (0, -1, wb),
-    }
-    grid = np.ones((t.fock_dim, t.z_count))
-    d_fock = d_z = 0
-    for letter in letters:
-        sf, sz, w = steps[letter]
-        src, tgt = _shift_slices(t, sf, sz)
-        nxt = np.zeros_like(grid)
-        nxt[src] = grid[tgt] * w[src[0], None]
-        grid = nxt
-        d_fock += sf
-        d_z += sz
-    return d_fock, d_z, grid
+    n = t.fock_dim
+    table = np.concatenate([wa[:-1], wa[1:], wb, wb, np.ones(n)])
+    codes = np.full((len(words), max(map(len, words), default=0)), 4)
+    for i, letters in enumerate(words):
+        codes[i, :len(letters)] = letters
+    fock_steps, z_steps = _STEPS[codes].transpose(2, 0, 1)
+    # each letter's row of the table, at the level it acts at relative to the
+    # source: the Fock steps of the letters right of it
+    at = codes * n + np.cumsum(fock_steps[:, ::-1], axis=1)[:, ::-1] - fock_steps
+    f = np.ones((len(words), n))
+    for j in range(codes.shape[1]):
+        f *= table.take(at[:, j, None] + np.arange(n), mode="clip")
+    z_path = np.cumsum(z_steps[:, ::-1], axis=1)
+    lo = -z_path.min(axis=1, initial=0)
+    hi = np.maximum(lo, t.z_count - z_path.max(axis=1, initial=0))
+    return fock_steps.sum(axis=1), z_steps.sum(axis=1), f, lo, hi
+
+
+def _apply_words(terms, t: TruncationSpec, qp: QParam, cols: np.ndarray) -> np.ndarray:
+    """Image of the column block under sum c * word over (c, letters) terms:
+    one shifted, scaled slice copy per word."""
+    block = cols.reshape(t.fock_dim, t.z_count, -1)
+    acc = np.zeros(block.shape, dtype=complex)
+    shifts = _word_shifts([letters for _, letters in terms], t, qp)
+    for (c, _), d_fock, d_z, f, lo, hi in zip(terms, *shifts):
+        fs, ft = _span(t.fock_dim, d_fock)
+        acc[ft, lo + d_z:hi + d_z] += c * (f[fs, None, None] * block[fs, lo:hi])
+    return acc.reshape(cols.shape)
 
 
 def apply_word_to_columns(letters, t: TruncationSpec, qp: QParam, cols: np.ndarray) -> np.ndarray:
     """Image of the column block under the word: one shifted, scaled slice copy."""
-    d_fock, d_z, grid = _word_shift(letters, t, qp)
-    src, tgt = _shift_slices(t, d_fock, d_z)
-    block = cols.reshape(t.fock_dim, t.z_count, -1)
-    out = np.zeros(block.shape, dtype=complex)
-    out[tgt] = grid[src][..., None] * block[src]
-    return out.reshape(cols.shape)
+    return _apply_words([(1.0, letters)], t, qp, cols)
 
 
 def apply_poly_to_columns(x: NCPolynomial, t: TruncationSpec, cols: np.ndarray) -> np.ndarray:
     """Image of the column block under the element: its words' images summed."""
-    acc = np.zeros(cols.shape, dtype=complex)
-    for mon, c in x.terms.items():
-        acc += c * apply_word_to_columns(mon.letters(), t, x.qp, cols)
-    return acc
+    return _apply_words([(c, mon.letters()) for mon, c in x.terms.items()], t, x.qp, cols)
 
 
 def build_generators(t: TruncationSpec, qp: QParam):
     """Return (alpha matrix, beta matrix) for the truncation window."""
-    eye = np.eye(t.dim, dtype=complex)
-    return (apply_word_to_columns((ALPHA,), t, qp, eye),
-            apply_word_to_columns((BETA,), t, qp, eye))
+    return tuple(represent(NCPolynomial.generator(qp, g), t) for g in (ALPHA, BETA))
 
 
 def represent(x: NCPolynomial, t: TruncationSpec, qp: QParam | None = None) -> np.ndarray:
@@ -170,27 +167,21 @@ def represent(x: NCPolynomial, t: TruncationSpec, qp: QParam | None = None) -> n
     qp = qp or x.qp
     out = np.zeros((t.dim, t.dim), dtype=complex)
     index = np.arange(t.dim).reshape(t.fock_dim, t.z_count)
-    for mon, c in x.terms.items():
-        d_fock, d_z, grid = _word_shift(mon.letters(), t, qp)
-        src, tgt = _shift_slices(t, d_fock, d_z)
+    shifts = _word_shifts([mon.letters() for mon in x.terms], t, qp)
+    for c, d_fock, d_z, f, lo, hi in zip(x.terms.values(), *shifts):
+        fs, ft = _span(t.fock_dim, d_fock)
         # complex weights, so c * w is the complex product the dense c * acc forms
-        out[index[tgt], index[src]] += c * grid[src].astype(complex)
+        out[index[ft, lo + d_z:hi + d_z], index[fs, lo:hi]] += c * f[fs, None].astype(complex)
     return out
-
-
-def _interior_mask(t: TruncationSpec, margin: int | None = None) -> np.ndarray:
-    """(fock, z) grid marking the sources at least ``margin`` steps from every window edge."""
-    mu = t.margin if margin is None else margin
-    if not 0 <= mu <= min(t.fock_dim - 1, t.z_band):
-        raise ValueError(f"margin {mu} leaves no interior window")
-    mask = np.zeros((t.fock_dim, t.z_count), dtype=bool)
-    mask[:t.fock_dim - mu, mu:t.z_count - mu] = True
-    return mask
 
 
 def interior_indices(t: TruncationSpec, margin: int | None = None) -> np.ndarray:
     """Indices of basis vectors at least ``margin`` steps away from every window edge."""
-    return np.flatnonzero(_interior_mask(t, margin))
+    mu = t.margin if margin is None else margin
+    if not 0 <= mu <= min(t.fock_dim - 1, t.z_band):
+        raise ValueError(f"margin {mu} leaves no interior window")
+    index = np.arange(t.dim).reshape(t.fock_dim, t.z_count)
+    return index[:t.fock_dim - mu, mu:t.z_count - mu].ravel()
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -235,30 +226,62 @@ def _relation_terms(q: float) -> dict[str, tuple]:
     }
 
 
-def _residual_bound(terms, t: TruncationSpec, qp: QParam, margin: int) -> float:
-    """`norm_bound` of sum c * word over (c, letters) pairs, restricted to the
-    interior window (rows and columns), taken from the weight grids.
-
-    The terms are grouped by displacement and their grids summed.  Each
-    group is a weighted shift, so a column |.|-sum is a sum over groups of
-    the grid moduli at that source, and a row |.|-sum the same at the
-    shifted source; no column block is formed.  A sound single-sector
-    residual is one group, and the bound is then its largest entry.
+def _residual_bounds(residuals, t: TruncationSpec, qp: QParam) -> list[float]:
+    """`norm_bound` of each (terms, margin) residual, the sum c * word over
+    its (c, letters) terms with rows and columns in the interior window at
+    its margin.  The terms are grouped by displacement, and a group's weight
+    at (k, z) sums c f(k) over its terms whose z interval holds z; a column
+    |.|-sum adds the groups' moduli at a source, a row |.|-sum at a target.
+    Along z both change only at interval ends, so they are read at one z per
+    piece: no fock x z array is formed.  A sound residual is one group.
     """
-    groups: dict[tuple[int, int], np.ndarray] = {}
-    for c, letters in terms:
-        d_fock, d_z, grid = _word_shift(letters, t, qp)
-        key = (d_fock, d_z)
-        groups[key] = groups[key] + c * grid if key in groups else c * grid
-    inner = _interior_mask(t, margin)
-    col_sums = np.zeros(inner.shape)
-    row_sums = np.zeros(inner.shape)
-    for (d_fock, d_z), grid in groups.items():
-        src, tgt = _shift_slices(t, d_fock, d_z)
-        mag = np.abs(grid[src]) * (inner[src] & inner[tgt])
-        col_sums[src] += mag
-        row_sums[tgt] += mag
-    return math.sqrt(float(col_sums.max()) * float(row_sums.max()))
+    if not residuals:
+        return []
+    margins = np.array([mu for _, mu in residuals])
+    if margins.max() > min(t.fock_dim - 1, t.z_band):
+        raise ValueError(f"margin {margins.max()} leaves no interior window")
+    owner = np.array([r for r, (terms, _) in enumerate(residuals) for _ in terms])
+    d_fock, d_z, f, lo, hi = _word_shifts([w for terms, _ in residuals for _, w in terms], t, qp)
+    weight = np.array([c for terms, _ in residuals for c, _ in terms], dtype=complex)[:, None] * f
+    # groups, and the terms of each group, in order of appearance, as the sums run
+    group_of: dict[tuple[int, int, int], int] = {}
+    group = np.array([group_of.setdefault(key, len(group_of))
+                      for key in zip(owner.tolist(), d_fock.tolist(), d_z.tolist())])
+    order = np.argsort(group, kind="stable")
+    start, size = np.searchsorted(group[order], np.arange(len(group_of))), np.bincount(group)
+    g_res = np.array([r for r, _, _ in group_of])
+    first, width = np.searchsorted(g_res, np.arange(len(residuals))), np.bincount(g_res).max()
+    # keep the interior sources whose targets are interior too
+    n_f, n_z, mu = t.fock_dim, t.z_count, margins[owner]
+    k = np.arange(n_f)
+    weight[(k < -d_fock[:, None]) | (k >= (n_f - mu - np.maximum(0, d_fock))[:, None])] = 0.0
+    lo = np.maximum(lo, mu + np.maximum(0, -d_z))
+    hi = np.minimum(hi, n_z - mu - np.maximum(0, d_z))
+
+    def largest_sums(lo, hi, weight):
+        """Each residual's largest sum over its groups of |the group's weight|."""
+        # where each residual's pieces start: its interval ends, clipped into [0, n_z]
+        keys = np.sort(np.tile(owner, 2) * (n_z + 1) + np.clip(np.concatenate([lo, hi]), 0, n_z))
+        c_res, c_z = np.divmod(keys[np.append(True, np.diff(keys) > 0)], n_z + 1)
+        sums = np.zeros((len(c_res), n_f))
+        # the j-th group of each piece's residual, in turn, while it has one
+        for g in np.minimum(first[c_res] + np.arange(width)[:, None], len(g_res) - 1):
+            acc = np.zeros((len(c_res), n_f), dtype=complex)
+            for s in range(size.max()):
+                i = order[np.minimum(start[g] + s, len(order) - 1)]
+                on = (s < size[g]) & (lo[i] <= c_z) & (c_z < hi[i])
+                acc[on] += weight[i[on]]
+            real = g_res[g] == c_res
+            sums[real] += np.abs(acc[real])
+        starts = np.searchsorted(c_res, np.arange(len(residuals)))
+        return np.maximum.reduceat(sums.max(axis=1), starts)
+
+    cols = largest_sums(lo, hi, weight)
+    source = k - d_fock[:, None]
+    weight = np.where((source >= 0) & (source < n_f),
+                      np.take_along_axis(weight, np.clip(source, 0, n_f - 1), axis=1), 0.0)
+    rows = largest_sums(lo + d_z, hi + d_z, weight)  # the weights moved to their targets
+    return [math.sqrt(float(c) * float(r)) for c, r in zip(cols, rows)]
 
 
 def relation_residuals(t: TruncationSpec, qp: QParam) -> dict[str, float]:
@@ -271,8 +294,8 @@ def relation_residuals(t: TruncationSpec, qp: QParam) -> dict[str, float]:
     """
     if t.margin < 1:
         raise ValueError("relation residuals need margin >= 1")
-    return {name: _residual_bound(terms, t, qp, t.margin + 2)
-            for name, terms in _relation_terms(qp.q).items()}
+    terms = _relation_terms(qp.q).values()
+    return dict(zip(RELATION_NAMES, _residual_bounds([(ts, t.margin + 2) for ts in terms], t, qp)))
 
 
 def edge_defect(t: TruncationSpec, qp: QParam) -> float:
@@ -282,26 +305,25 @@ def edge_defect(t: TruncationSpec, qp: QParam) -> float:
     1 - q^(2 fock_dim) because the compressed shift loses the outgoing
     component at the last Fock level.
     """
-    return _residual_bound(_relation_terms(qp.q)[RELATION_NAMES[1]], t, qp, 0)
+    return _residual_bounds([(_relation_terms(qp.q)[RELATION_NAMES[1]], 0)], t, qp)[0]
 
 
-def normal_form_residual(word: Word, t: TruncationSpec, qp: QParam) -> float:
-    """Interior residual between a word's matrix and its normal form's matrix.
+def normal_form_residual(words, t: TruncationSpec, qp: QParam) -> list[float]:
+    """Interior residual between each word's matrix and its normal form's matrix.
 
     The margin equals the word length (capped at the window's largest legal
     margin), so all index paths stay inside the window and the residual is
-    pure float noise when `normalize`'s product is sound.  Words longer than
-    min(fock_dim - 1, z_band) can graze the edges and are not guaranteed a
-    tiny residual.  A sound normal form shares the word's sector, so the
-    residual is a weighted partial permutation and `norm_bound` is its norm;
-    a normal-form term in another sector is a second displacement and shows
-    at its full size.
+    float noise when `normalize`'s product is sound; a longer word can graze
+    the edges.  A sound normal form shares the word's sector, so the residual
+    is a weighted partial permutation and `norm_bound` is its norm; a term of
+    the normal form in another sector is a second displacement, at full size.
     """
-    nf = normalize(word, qp)
-    mu = min(len(word.letters), min(t.fock_dim - 1, t.z_band))
-    terms = [(word.coefficient, word.letters)]
-    terms += [(-c, mon.letters()) for mon, c in nf.terms.items()]
-    return _residual_bound(terms, t, qp, mu)
+    residuals = []
+    for word in words:
+        terms = [(word.coefficient, word.letters)]
+        terms += [(-c, mon.letters()) for mon, c in normalize(word, qp).terms.items()]
+        residuals.append((terms, min(len(word.letters), t.fock_dim - 1, t.z_band)))
+    return _residual_bounds(residuals, t, qp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """The NCPolynomial routes of the basis and operator layers: the test oracles
-for the node-vector routes in `gns` and `triple`.
+for the node-vector routes in `gns` and `triple`, and the letter-by-letter
+weight grids: the test oracle for the separable shifts in `rep`.
 
 Each function computes its layer's values through whole algebra elements:
 the Gram-Schmidt sweep on x-coefficients against the Hankel moment matrix,
 phase-fixed by `_sign_fix` (the basis algorithm before node vectors; it
 loses digits with depth), the matrix coefficient through `little_jacobi` on
 an algebra element, one `gns_inner` call per entry of pi on the expanded
-product, and unit columns pushed through `rep.apply_poly_to_columns`.  The
-unnormalized matrix coefficient and the Haar sum perform the float
-operations of the production routes in the same order, so they must agree
-bitwise; the others agree to a tolerance.
+product, and unit columns pushed through the letter-by-letter grids of
+`word_grid`.  The unnormalized matrix coefficient, the Haar sum and the
+weight grids perform the float operations of the production routes in the
+same order, so they must agree bitwise; the others agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from qtriple.gns import (
     GNSVector, _phase, _sector_base_monomial, gns_inner, halfint, little_jacobi,
     sector_labels, sector_moment, sector_of_label, sector_pair,
 )
-from qtriple.ncpoly import BETA, BETA_STAR, NCPolynomial, QParam, mul
+from qtriple.ncpoly import (
+    ALPHA, ALPHA_STAR, BETA, BETA_STAR, NCPolynomial, QParam, mul,
+)
 
 
 def _sign_fix(p: NCPolynomial) -> NCPolynomial:
@@ -104,15 +107,58 @@ def pi_matrix(a: NCPolynomial, basis, row_labels=None, col_labels=None) -> np.nd
     return mat
 
 
+def word_grid(letters, t: rep.TruncationSpec, q: float) -> tuple[int, int, np.ndarray]:
+    """A word as one weighted shift, e_(k, z) -> grid[k, z] e_(k + d_fock, z + d_z),
+    its (fock, z) grid built letter by letter from the left.
+
+    Each step is a shifted and scaled copy of the previous grid, zero where
+    the shift leaves the window, so the weights multiply in the order of the
+    dense product 1 @ M_1 @ ... @ M_n and a zero marks a source whose path
+    leaves the window.  The Fock weights are computed here, not read from
+    `rep`.
+    """
+    wa = np.array([np.sqrt(1.0 - q ** (2 * k)) for k in range(t.fock_dim)])
+    wb = np.array([q ** k for k in range(t.fock_dim)])
+    # (fock step, z step, weight by source Fock level); a* e_k = wa[k+1] e_(k+1)
+    steps = {
+        ALPHA: (-1, 0, wa),
+        ALPHA_STAR: (1, 0, np.append(wa[1:], 0.0)),
+        BETA: (0, 1, wb),
+        BETA_STAR: (0, -1, wb),
+    }
+    grid = np.ones((t.fock_dim, t.z_count))
+    d_fock = d_z = 0
+    for letter in letters:
+        sf, sz, w = steps[letter]
+        (fs, ft), (zs, zt) = rep._span(t.fock_dim, sf), rep._span(t.z_count, sz)
+        nxt = np.zeros_like(grid)
+        nxt[fs, zs] = grid[ft, zt] * w[fs, None]
+        grid = nxt
+        d_fock += sf
+        d_z += sz
+    return d_fock, d_z, grid
+
+
+def apply_word_to_columns(letters, t: rep.TruncationSpec, q: float, cols: np.ndarray) -> np.ndarray:
+    """Image of the column block under the word, through `word_grid`."""
+    d_fock, d_z, grid = word_grid(letters, t, q)
+    (fs, ft), (zs, zt) = rep._span(t.fock_dim, d_fock), rep._span(t.z_count, d_z)
+    block = cols.reshape(t.fock_dim, t.z_count, -1)
+    out = np.zeros(block.shape, dtype=complex)
+    out[ft, zt] = grid[fs, zs][..., None] * block[fs, zs]
+    return out.reshape(cols.shape)
+
+
 def haar_numeric(x: NCPolynomial, t: rep.TruncationSpec) -> complex:
     """(1-q^2) sum_n q^(2n) <(n,0)| x |(n,0)> from the unit columns (n, 0)."""
     q = x.qp.q
     cols = np.zeros((t.dim, t.fock_dim), dtype=complex)
     for n in range(t.fock_dim):
         cols[t.index(n, 0), n] = 1.0
-    image = rep.apply_poly_to_columns(x, t, cols)
+    image = np.zeros(cols.shape, dtype=complex)
+    for mon, c in x.terms.items():
+        image += c * apply_word_to_columns(mon.letters(), t, q, cols)
     total = 0.0 + 0.0j
     for n in range(t.fock_dim):
         total += q ** (2 * n) * image[t.index(n, 0), n]
     return complex((1.0 - q * q) * total)
-

@@ -9,7 +9,7 @@ import pytest
 
 from qtriple import cli, ncpoly
 from qtriple.cli import main
-from qtriple.rep import TruncationSpec, load_matrix, represent
+from qtriple.rep import TruncationSpec, edge_defect, load_matrix, represent
 from qtriple.grammar import parse
 from qtriple.ncpoly import QParam
 
@@ -75,7 +75,10 @@ class TestConfig:
                      ["gram", "--lmax2", "12"],
                      ["verify", "relations", "--tol", "relations=tight"],
                      ["haar", "a", "--fock", "2"],
-                     ["verify", "relations", "--zband", "3", "--margin", "5"]):
+                     ["verify", "relations", "--zband", "3", "--margin", "5"],
+                     # margin + 2 beyond min(fock - 1, zband): no interior window
+                     ["verify", "relations", "--fock", "4", "--zband", "2", "--margin", "1"],
+                     ["verify", "relations", "--fock", "4", "--zband", "3"]):
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
             assert "configuration error" in err, argv
@@ -113,6 +116,27 @@ class TestVerify:
         assert sum("relation" in n for n in names) == 5
         for c in report["checks"]:
             assert set(c) == {"name", "pass", "detail", "tolerance", "value"}
+
+    @pytest.mark.parametrize("fock, zband", [("6", "3"), ("4", "3")])
+    def test_relations_pass_at_small_windows(self, capsys, fock, zband):
+        # words of length 8 grazed these windows' edges: the oracle read 256.0
+        for seed in range(5):
+            code, out, _ = run(capsys, "verify", "relations", "--fock", fock, "--zband", zband,
+                               "--margin", "1", "--seed", str(seed))
+            assert code == 0
+            oracle = json.loads(out)["checks"][-1]
+            assert oracle["value"] <= 1e-15
+            assert oracle["detail"] == "interior residual, margin = word length <= 3"
+
+    def test_relations_report_keys_and_edge_defect_metric(self, capsys):
+        code, out, _ = run(capsys, "verify", "relations", "--fock", "20", "--zband", "10")
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == ["suite", "config", "checks", "all_pass", "metrics"]
+        assert len(report["checks"]) == 6
+        want = edge_defect(TruncationSpec(20, 10), QParam(0.5))
+        assert report["metrics"] == {"edge_defect": want}
+        assert report["metrics"]["edge_defect"] >= 1.0 - 0.5 ** 40
 
     @pytest.mark.parametrize("q, lmax2, overlap", [("0.5", "8", 1e-12), ("0.3", "7", 1e-12),
                                                    ("0.2", "8", 1e-10)])

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import routes
 from qtriple import rep
 from qtriple.grammar import parse
 from qtriple.ncpoly import (
@@ -62,13 +63,33 @@ def basis_vec(t, fock, z):
 
 def column_block_residual(terms, t, qp, margin):
     """The column-block residual: the interior's unit columns pushed through
-    sum c * word, rows restricted to the interior, then `norm_bound`.  The
-    oracle for the residuals taken from the weight grids."""
+    sum c * word on the letter-by-letter grids of `routes`, rows restricted
+    to the interior, then `norm_bound`.  The oracle for the residuals taken
+    from the separable shifts."""
     idx = interior_indices(t, margin)
     cols = np.zeros((t.dim, len(idx)), dtype=complex)
     cols[idx, np.arange(len(idx))] = 1.0
-    acc = sum(c * apply_word_to_columns(letters, t, qp, cols) for c, letters in terms)
+    acc = sum(c * routes.apply_word_to_columns(letters, t, qp.q, cols) for c, letters in terms)
     return norm_bound(acc[idx, :])
+
+
+def assert_grid_residuals_match_column_block_oracle(q):
+    qp = QParam(q)
+    a, a_, b, b_ = ALPHA, ALPHA_STAR, BETA, BETA_STAR
+    for t in (TruncationSpec(8, 4, 1), TruncationSpec(5, 3, 1), TruncationSpec(16, 8, 2)):
+        res = relation_residuals(t, qp)
+        for name, terms in rep._relation_terms(q).items():
+            want = column_block_residual(terms, t, qp, t.margin + 2)
+            assert abs(res[name] - want) <= 1e-16
+        want = column_block_residual(rep._relation_terms(q)[RELATION_NAMES[1]], t, qp, 0)
+        assert edge_defect(t, qp) == pytest.approx(want, rel=1e-14)
+        # mixed sectors: several displacements, so not a partial permutation
+        for terms in (((1.0, (a,)), (2.0, (b,))),
+                      ((1.0, (a, b)), (0.5j, (b_,)), (-1.0, ()), (0.25, (a_, a_)))):
+            for margin in (0, 2):
+                got, = rep._residual_bounds([(terms, margin)], t, qp)
+                want = column_block_residual(terms, t, qp, margin)
+                assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestTruncationSpec:
@@ -195,41 +216,25 @@ class TestRelationResiduals:
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_grid_residuals_match_column_block_oracle(self, q):
-        qp = QParam(q)
-        a, a_, b, b_ = ALPHA, ALPHA_STAR, BETA, BETA_STAR
-        for t in (TruncationSpec(8, 4, 1), TruncationSpec(5, 3, 1), TruncationSpec(16, 8, 2)):
-            res = relation_residuals(t, qp)
-            for name, terms in rep._relation_terms(q).items():
-                want = column_block_residual(terms, t, qp, t.margin + 2)
-                assert abs(res[name] - want) <= 1e-16
-            want = column_block_residual(rep._relation_terms(q)[RELATION_NAMES[1]], t, qp, 0)
-            assert edge_defect(t, qp) == pytest.approx(want, rel=1e-14)
-            # mixed sectors: several displacements, so not a partial permutation
-            for terms in (((1.0, (a,)), (2.0, (b,))),
-                          ((1.0, (a, b)), (0.5j, (b_,)), (-1.0, ()), (0.25, (a_, a_)))):
-                for margin in (0, 2):
-                    got = rep._residual_bound(terms, t, qp, margin)
-                    want = column_block_residual(terms, t, qp, margin)
-                    assert got == pytest.approx(want, rel=1e-14)
+        assert_grid_residuals_match_column_block_oracle(q)
 
 
 class TestNormalFormOracle:
     def test_random_words_agree_with_normal_form(self, qp):
         t = TruncationSpec(16, 8, 2)
         rng = random.Random(0)
-        for _ in range(60):
-            w = random_word(rng, max_len=8)
-            assert normal_form_residual(w, t, qp) <= 1e-10
+        words = [random_word(rng, max_len=8) for _ in range(60)]
+        assert max(normal_form_residual(words, t, qp)) <= 1e-10
 
     def test_matches_column_block_oracle(self, qp):
         t = TruncationSpec(12, 6)
         rng = random.Random(1)
-        for _ in range(40):
-            w = random_word(rng, max_len=8)
+        words = [random_word(rng, max_len=8) for _ in range(40)]
+        for w, got in zip(words, normal_form_residual(words, t, qp)):
             nf = rep.normalize(w, qp)
             terms = [(w.coefficient, w.letters)] + [(-c, m.letters()) for m, c in nf.terms.items()]
             mu = min(len(w.letters), min(t.fock_dim - 1, t.z_band))
-            assert abs(normal_form_residual(w, t, qp) - column_block_residual(terms, t, qp, mu)) <= 1e-15
+            assert abs(got - column_block_residual(terms, t, qp, mu)) <= 1e-15
 
     def test_foreign_sector_term_fails(self, monkeypatch, qp):
         t = TruncationSpec(16, 8, 2)
@@ -242,7 +247,7 @@ class TestNormalFormOracle:
             return exact(word, qp) + 1e-6 * NCPolynomial.generator(qp, BETA)
 
         monkeypatch.setattr(rep, "normalize", foreign)
-        worst = max(normal_form_residual(w, t, qp) for w in words)
+        worst = max(normal_form_residual(words, t, qp))
         # the b term's largest interior weight is q^0 = 1, at the Fock vacuum
         assert worst >= 0.999e-6
 
@@ -296,6 +301,50 @@ class TestShiftActionOracle:
         mats = dense_generators(T_SMALL, qp.q)
         a, b = build_generators(T_SMALL, qp)
         assert np.array_equal(a, mats[ALPHA]) and np.array_equal(b, mats[BETA])
+
+
+class TestSeparableShift:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_batched_shifts_match_letter_by_letter_grids_bitwise(self, q):
+        # words up to length 12 leave the small windows through every edge
+        qp = QParam(q)
+        rng = random.Random(20)
+        for t in (TruncationSpec(4, 2), TruncationSpec(5, 3), TruncationSpec(20, 10)):
+            words = [tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 12)))
+                     for _ in range(300)]
+            shifts = rep._word_shifts(words, t, qp)
+            for letters, d_fock, d_z, f, lo, hi in zip(words, *shifts):
+                want_fock, want_z, want = routes.word_grid(letters, t, q)
+                inside = (lo <= np.arange(t.z_count)) & (np.arange(t.z_count) < hi)
+                got = np.where(inside, f[:, None], 0.0)
+                assert (d_fock, d_z) == (want_fock, want_z)
+                assert got.tobytes() == want.tobytes(), letters
+
+    @pytest.mark.parametrize("mutant", ["z interval one step too wide", "top-Fock zero dropped"])
+    def test_mutant_shift_fails_the_residual_oracles(self, monkeypatch, qp, mutant):
+        t = TruncationSpec(16, 8, 2)
+        rng = random.Random(0)
+        words = [random_word(rng, max_len=8) for _ in range(60)]
+        if mutant == "z interval one step too wide":
+            exact = rep._word_shifts
+
+            def widened(words, t, qp):
+                d_fock, d_z, f, lo, hi = exact(words, t, qp)
+                return d_fock, d_z, f, np.maximum(lo - 1, 0), np.minimum(hi + 1, t.z_count)
+
+            monkeypatch.setattr(rep, "_word_shifts", widened)
+        else:
+            exact = rep._weights
+
+            def no_top_zero(t, q):
+                wa, wb = exact(t, q)
+                return np.append(wa[:-1], np.sqrt(1.0 - q ** (2 * t.fock_dim))), wb
+
+            monkeypatch.setattr(rep, "_weights", no_top_zero)
+        # paths stay inside at the interior margins, so only the edge defect sees it
+        assert max(normal_form_residual(words, t, qp)) <= 1e-10
+        with pytest.raises(AssertionError):
+            assert_grid_residuals_match_column_block_oracle(qp.q)
 
 
 class TestRepresentBitwise:
@@ -354,7 +403,7 @@ class TestWeightMutation:
         rng = random.Random(0)
         words = [random_word(rng, max_len=8) for _ in range(60)]
         assert max(relation_residuals(t, qp).values()) <= 1e-12
-        assert max(normal_form_residual(w, t, qp) for w in words) <= 1e-10
+        assert max(normal_form_residual(words, t, qp)) <= 1e-10
         exact = rep._weights
 
         def perturbed(t, q):
@@ -365,7 +414,7 @@ class TestWeightMutation:
 
         monkeypatch.setattr(rep, "_weights", perturbed)
         assert max(relation_residuals(t, qp).values()) > 1e-12
-        assert max(normal_form_residual(w, t, qp) for w in words) > 1e-10
+        assert max(normal_form_residual(words, t, qp)) > 1e-10
 
 
 class TestOperatorNorm:
