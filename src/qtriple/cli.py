@@ -28,7 +28,7 @@ from . import gns, isodeform, rep, triple
 from .grammar import ParseError, parse
 from .ncpoly import (
     ALPHA, CanonicalMonomial, DegreeOverflowError, NCPolynomial, QParam,
-    monomials_up_to, random_polynomial, random_word, z2_act,
+    monomials_up_to, normalize, random_polynomial, random_word, z2_act,
 )
 from .report import CheckResult, all_passed
 
@@ -266,8 +266,11 @@ def suite_relations(cfg: RunConfig) -> list[CheckResult]:
     cap = min(8, t.fock_dim - 1, t.z_band)  # a longer word could graze the window's edges
     words = [random_word(rng, max_len=cap) for _ in range(200)]
     tol_nf = cfg.tol("normal_form")
-    worst = max([0.0, *rep.normal_form_residual(words, cfg.trunc(), cfg.qp)])
-    detail = "interior residual, margin = word length" + (f" <= {cap}" if cap < 8 else "")
+    # relative to 1 or the normal form's largest coefficient (1e10 at small q)
+    scales = [max([1.0, *map(abs, normalize(w, cfg.qp).terms.values())]) for w in words]
+    residuals = rep.normal_form_residual(words, cfg.trunc(), cfg.qp)
+    worst = max([0.0, *(r / s for r, s in zip(residuals, scales))])
+    detail = "relative interior residual, margin = word length" + (f" <= {cap}" if cap < 8 else "")
     checks.append(CheckResult("normal-form oracle (200 words)", worst <= tol_nf,
                               detail, tol_nf, worst))
     return checks

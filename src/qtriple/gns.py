@@ -27,21 +27,22 @@ is diagonal in n: it sends sector (c1, c2) to (c1 + k, c2 + i - j) and
 scales node n by W_m(n - c1) (`action_weights`).
 
 The orthonormal basis is Gram-Schmidt on node vectors (discretized
-Stieltjes), orthonormal to rounding at every depth.  Each entry carries its
-node vectors, which every pairing reads, and x-coefficients for printing,
-parity and the algebra checks (they cancel in deep sectors).  Labels
-(l, j, k) attach to sectors through c1 = -(j+k), c2 = k - j, with
-l - max(|j|, |k|) counting depth inside the sector.  The orthogonal
-polynomials are little q-Jacobi polynomials in base q^2 with parameters
-a = q^(2|c2|), b = q^(2|c1|) and, on the c1 > 0 branch, the argument
-rescaled by q^(-2 c1) (a*^k a^k = prod (1 - q^(-2i) x) kills the first k
-nodes); `t_matrix` builds them from that closed form, its node vectors
-through a terminating 3phi1 transformation that does not cancel at small q.
+Stieltjes), orthonormal to rounding at every depth.  Labels (l, j, k) attach
+to sectors through c1 = -(j+k), c2 = k - j, with l - max(|j|, |k|) counting
+depth inside the sector; an entry carries the node vector of its label's
+sector alone, which every pairing reads.  The orthogonal polynomials are
+little q-Jacobi polynomials in base q^2 with parameters a = q^(2|c2|),
+b = q^(2|c1|) and, on the c1 > 0 branch, the argument rescaled by q^(-2 c1)
+(a*^k a^k = prod (1 - q^(-2i) x) kills the first k nodes).  Their closed-form
+series gives the x-coefficients of the basis and `t_matrix` (printing, parity
+and algebra checks; they cancel in deep sectors); `t_matrix`'s node vectors
+come from a terminating 3phi1 transformation that does not cancel at small q.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -417,8 +418,8 @@ class SectorStacks(NamedTuple):
 
     Sector i, with charges ``sectors[i]``, holds the members
     ``start[i]:start[i + 1]``: member m is the node vector ``nodes[m]`` of
-    the entry with label index ``label[m]``, in label order.  An entry with
-    components in several sectors is a member of each.
+    the entry with label index ``label[m]``, in label order.  Every entry is
+    the member of exactly one sector, its label's.
     """
 
     sectors: tuple[tuple[int, int], ...]
@@ -452,9 +453,10 @@ class GNSBasis:
     """Orthonormal family e^(l)_{jk}, keyed by doubled labels (l2, j2, k2).
 
     ``norms`` records the Gram-Schmidt diagonal (the length of the component
-    orthogonal to lower filtration layers) for each label.  Immutable: the
-    mappings are read-only and the node arrays are not writable, so one
-    instance can be shared (`gram_schmidt_basis` memoizes it).
+    orthogonal to lower filtration layers) for each label; an entry whose
+    node vectors are not its label's sector's alone raises ValueError.
+    Immutable: the mappings are read-only and the node arrays are not
+    writable, so one instance can be shared (`gram_schmidt_basis` memoizes it).
     """
 
     lmax: HalfInt
@@ -464,6 +466,11 @@ class GNSBasis:
     def __post_init__(self):
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         object.__setattr__(self, "norms", MappingProxyType(dict(self.norms)))
+        for (l2, j2, k2), entry in self.entries.items():
+            sector, found = sector_of_label(j2, k2), sorted(entry.nodes or ())
+            if found != [sector]:
+                raise ValueError(f"entry l2={l2} j2={j2} k2={k2} must have node vectors "
+                                 f"in sector {sector} alone, got {found}")
 
     @property
     def lmax2(self) -> int:
@@ -494,16 +501,11 @@ class GNSBasis:
     @cached_property
     def stacks(self) -> SectorStacks:
         """The entries' node vectors stacked per charge sector, built once."""
-        groups: dict[tuple[int, int], list] = {}
-        for i, lab in enumerate(self._labels):
-            entry = self.entries[lab]
-            for sector, vec in _nodes_of(entry, entry.poly.qp.q).items():
-                groups.setdefault(sector, []).append((i, vec))
-        sectors = tuple(sorted(groups))
-        members = [m for s in sectors for m in groups[s]]
-        start = np.cumsum([0] + [len(groups[s]) for s in sectors])
-        label = np.array([i for i, _ in members], dtype=int)
-        nodes = np.array([v for _, v in members])
+        keys = [sector_of_label(j2, k2) for _, j2, k2 in self._labels]
+        label = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=int)
+        sectors, counts = zip(*sorted(Counter(keys).items()))
+        start = np.cumsum([0, *counts])
+        nodes = np.array([self.entries[self._labels[i]].nodes[keys[i]] for i in label])
         for arr in (start, label, nodes):
             arr.setflags(write=False)
         return SectorStacks(sectors, start, label, nodes)
@@ -527,14 +529,12 @@ def _phase(p: NCPolynomial) -> complex:
     return abs(c) / c
 
 
-def _project_out(u: np.ndarray, cu: np.ndarray, done: list, rows: np.ndarray, measure: float):
+def _project_out(u: np.ndarray, done: list, rows: np.ndarray, measure: float) -> np.ndarray:
     """One modified Gram-Schmidt sweep of the rows of u against the finished vectors."""
-    for vectors, coeffs in done:
-        v, cv = vectors[rows], coeffs[rows]
-        c = measure * (v * u).sum(axis=-1)[:, None]
-        u = u - c * v
-        cu = cu - c * cv
-    return u, cu
+    for vectors in done:
+        v = vectors[rows]
+        u = u - measure * (v * u).sum(axis=-1)[:, None] * v
+    return u
 
 
 # Bases `gram_schmidt_basis` keeps.  Node vectors grow like 1 / (1 - q): at
@@ -549,11 +549,11 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
     Depth 0 of a sector is its weight vector, depth d is x times the depth
     d - 1 vector, orthogonalized against the earlier ones by modified
     Gram-Schmidt with one reorthogonalization pass (discretized Stieltjes),
-    on all sectors of a depth at once.  Every operation is elementwise or a
-    sum along one sector's nodes, so a lower cutoff's basis is bitwise the
-    leading part of a higher one's.  The x-coefficients follow the same
-    operations; the leading one, 1 / norm, is positive.  A residual below
-    1e-150 (extreme q) raises GramSingularError.
+    on all sectors of a depth at once; norm = the product of the residuals.
+    Every operation is elementwise or a sum along one sector's nodes, so a
+    lower cutoff's basis is bitwise the leading part of a higher one's.  The
+    x-coefficients are the closed-form series with leading coefficient
+    1 / norm > 0.  A residual below 1e-150 (extreme q) raises GramSingularError.
 
     One immutable basis per (lmax2, qp) is memoized, at most
     BASIS_MEMO_SIZE of them, least recently used first out: near q = 1 a
@@ -570,37 +570,32 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
     depths = np.array([len(labels) for _, labels in sectors])
     top = int(depths.max())
     vectors = np.zeros((top, len(sectors), len(x)))
-    coeffs = np.zeros((top, len(sectors), top))
+    norm = np.zeros((top, len(sectors)))
     for depth in range(top):
         rows = np.flatnonzero(depths > depth)
-        if depth == 0:
-            u = np.array([_sector_weights(c1, c2, q) for (c1, c2), _ in sectors])
-            cu = np.zeros((len(sectors), top))
-            cu[:, 0] = 1.0
-        else:
-            u = x * vectors[depth - 1, rows]
-            cu = np.zeros((len(rows), top))
-            cu[:, 1:] = coeffs[depth - 1, rows, :-1]
-        done = [(vectors[e], coeffs[e]) for e in range(depth)]
+        u = (x * vectors[depth - 1, rows] if depth
+             else np.array([_sector_weights(c1, c2, q) for (c1, c2), _ in sectors]))
+        done = [vectors[e] for e in range(depth)]
         for _ in range(2):  # reorthogonalization pass
-            u, cu = _project_out(u, cu, done, rows, measure)
+            u = _project_out(u, done, rows, measure)
         residual = np.sqrt(measure * (u * u).sum(axis=-1))
         for i in np.flatnonzero(~(residual > _RESIDUAL_FLOOR)):
             raise GramSingularError(
                 f"sector {sectors[rows[i]][0]} depth {depth}: residual {residual[i]:.3e} "
                 f"is below {_RESIDUAL_FLOOR:.0e}")
         vectors[depth, rows] = u / residual[:, None]
-        coeffs[depth, rows] = cu / residual[:, None]
+        norm[depth, rows] = residual * norm[depth - 1, rows] if depth else residual
     vectors.setflags(write=False)
     entries: dict[tuple[int, int, int], GNSVector] = {}
     norms: dict[tuple[int, int, int], float] = {}
     for i, ((c1, c2), labels) in enumerate(sectors):
-        monomials = [_sector_base_monomial(c1, c2, t) for t in range(len(labels))]
         for depth, key in enumerate(labels):
-            poly = NCPolynomial(qp, {mon: c for mon, c in zip(monomials, coeffs[depth, i])
-                                     if c != 0.0})
+            series = _matrix_coefficient_series(c1, c2, depth, qp).terms
+            scale = 1.0 / (series[_sector_base_monomial(c1, c2, depth)].real * norm[depth, i])
+            # the series is real; scaling real parts keeps the imaginary ones +0.0
+            poly = NCPolynomial(qp, {m: c.real * scale for m, c in series.items()})
             entries[key] = GNSVector(poly, {(c1, c2): vectors[depth, i]})
-            norms[key] = 1.0 / float(coeffs[depth, i, depth])
+            norms[key] = float(norm[depth, i])
     return GNSBasis(HalfInt(lmax2), entries, norms)
 
 
@@ -673,16 +668,16 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
 def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:
     """Worst deviation |<e_i, e_j> - delta_ij| of the basis from orthonormality.
 
-    The Gram of the entries' node vectors, every member pair of every
-    sector in one contraction: entries that share no sector pair to an exact
-    0, and a component in a foreign sector still meets that sector's entries
-    there.  An entry without components reads as a defect of 1.
+    Entries of distinct sectors pair to an exact 0, so the worst is taken
+    over the sectors' Gram blocks of node vectors, one batched product per
+    sector size.
     """
     _require_deformed(qp)
     st = basis.stacks
-    rows, cols, _ = st.shift_pairs((0, 0))
-    n = len(basis.entries)
-    gram = np.zeros((n, n), dtype=complex)
-    np.add.at(gram, (st.label[rows], st.label[cols]),
-              (1.0 - qp.q * qp.q) * (np.conjugate(st.nodes[rows]) * st.nodes[cols]).sum(axis=-1))
-    return float(np.max(np.abs(gram - np.eye(n))))
+    count = np.diff(st.start)
+    worst = 0.0
+    for size in set(count.tolist()):
+        v = st.nodes[st.start[:-1][count == size][:, None] + np.arange(size)]
+        gram = (1.0 - qp.q * qp.q) * (np.conjugate(v) @ v.transpose(0, 2, 1))
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(size)))))
+    return worst

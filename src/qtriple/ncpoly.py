@@ -361,8 +361,8 @@ def _monomial_product(q: float, m1: CanonicalMonomial, m2: CanonicalMonomial):
 def mul(x: NCPolynomial, y: NCPolynomial) -> NCPolynomial:
     """Product in the algebra: the closed-form monomial product, bilinearly.
 
-    Monomial-product coefficients at or below ``qp.prune`` are dropped before
-    they are scaled and summed.
+    As in `normalize`, only the result is pruned: a monomial-product
+    coefficient below ``qp.prune`` can be scaled up by the factors' own.
     """
     if x.qp != y.qp:
         raise ValueError("mixed deformation parameters")
@@ -376,8 +376,7 @@ def mul(x: NCPolynomial, y: NCPolynomial) -> NCPolynomial:
                     f"product degree {d1 + m2.degree} exceeds cap {qp.max_degree}")
             scale = c1 * c2
             for mon, c in _monomial_product(qp.q, m1, m2):
-                if abs(c) > qp.prune:
-                    acc[mon] = acc.get(mon, 0.0) + scale * c
+                acc[mon] = acc.get(mon, 0.0) + scale * c
     return NCPolynomial(qp, acc)
 
 

@@ -97,8 +97,8 @@ def _pi_entries(a: NCPolynomial, basis: GNSBasis, row_ok: np.ndarray, col_ok: np
     from sector s to s' is V_s'^H diag(w) V_s.  Per charge shift of a, the
     entries of all its blocks are formed in one contraction over the nodes;
     each sums over the nodes of its own two vectors alone, so its bits do
-    not depend on the other labels.  An entry with components in several
-    sectors yields one entry per sector pair; they add up.
+    not depend on the other labels.  Every basis entry lives in one sector,
+    so each (row, column) occurs at most once.
     """
     st = basis.stacks
     c1s, sector_c1 = np.unique([c1 for c1, _ in st.sectors], return_inverse=True)
@@ -139,7 +139,7 @@ def pi_matrix(a: NCPolynomial, basis: GNSBasis,
     row_pos, col_pos = _positions(basis, rows), _positions(basis, cols)
     r, c, v = _pi_entries(a, basis, row_pos >= 0, col_pos >= 0)
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    np.add.at(mat, (row_pos[r], col_pos[c]), v)
+    mat[row_pos[r], col_pos[c]] = v
     return mat
 
 
@@ -176,7 +176,7 @@ def commutator_matrix(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec) -> np.n
     l2 = basis.label_array[:, 0]
     cut = _guard_cut(basis.lmax2, max(a.degree(), 0))
     mat = np.zeros((len(l2), int(np.sum(l2 <= cut))), dtype=complex)
-    np.add.at(mat, (r, c), v)
+    mat[r, c] = v
     return mat
 
 
@@ -262,7 +262,7 @@ def commutator_norm_scan(a: NCPolynomial, qp: QParam, lmax2_list) -> list[float]
         slot[members] = np.arange(len(members))
         sel = slot[component] >= 0
         blocks = np.zeros((len(members), height[members[0]], width[members[0]]), dtype=complex)
-        np.add.at(blocks, (slot[component[sel]], row_pos[sel], col_pos[sel]), v[edge[sel]])
+        blocks[slot[component[sel]], row_pos[sel], col_pos[sel]] = v[edge[sel]]
         np.maximum.at(norms, owner[members], np.linalg.svd(blocks, compute_uv=False)[:, 0])
     return norms.tolist()
 

@@ -8,9 +8,10 @@ phase-fixed by `_sign_fix` (the basis algorithm before node vectors; it
 loses digits with depth), the matrix coefficient through `little_jacobi` on
 an algebra element, one `gns_inner` call per entry of pi on the expanded
 product, and unit columns pushed through the letter-by-letter grids of
-`word_grid`.  The unnormalized matrix coefficient, the Haar sum and the
-weight grids perform the float operations of the production routes in the
-same order, so they must agree bitwise; the others agree to a tolerance.
+`word_grid`, and the orthonormality meter on the dense Gram of all
+entries.  The unnormalized matrix coefficient, the Haar sum and the weight
+grids perform the float operations of the production routes in the same
+order, so they must agree bitwise; the others agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
 
 def pi_matrix(a: NCPolynomial, basis, row_labels=None, col_labels=None) -> np.ndarray:
     """<e_r, a e_c> by one `gns_inner` call per charge-compatible entry, with
-    the product a e_c expanded; a row is charge-compatible through any of
-    the sectors its node vectors occupy."""
+    the product a e_c expanded; a row is charge-compatible through the
+    sector of its node vector."""
     rows = list(row_labels if row_labels is not None else basis.labels())
     cols = list(col_labels if col_labels is not None else basis.labels())
     a_charges = {m.charges for m in a.terms}
@@ -105,6 +106,18 @@ def pi_matrix(a: NCPolynomial, basis, row_labels=None, col_labels=None) -> np.nd
             for ri in rows_of.get((c1 + da, c2 + db), ()):
                 mat[ri, ci] = gns_inner(basis.entries[rows[ri]], image)
     return mat
+
+
+def orthonormality_defect(basis, qp: QParam) -> float:
+    """max |<e_i, e_j> - delta_ij| over the dense n x n Gram of the entries'
+    node vectors, every member pair of every sector scattered into it."""
+    st = basis.stacks
+    rows, cols, _ = st.shift_pairs((0, 0))
+    n = len(basis.entries)
+    gram = np.zeros((n, n), dtype=complex)
+    np.add.at(gram, (st.label[rows], st.label[cols]),
+              (1.0 - qp.q * qp.q) * (np.conjugate(st.nodes[rows]) * st.nodes[cols]).sum(axis=-1))
+    return float(np.max(np.abs(gram - np.eye(n))))
 
 
 def word_grid(letters, t: rep.TruncationSpec, q: float) -> tuple[int, int, np.ndarray]:

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from qtriple import cli, ncpoly
+from qtriple import cli, ncpoly, rep
 from qtriple.cli import main
 from qtriple.rep import TruncationSpec, edge_defect, load_matrix, represent
 from qtriple.grammar import parse
@@ -48,6 +48,13 @@ class TestNormalize:
         data = json.loads(out)
         assert set(data) == {"q", "terms"}
         assert data["terms"] == [{"a": 1, "b": 1, "bs": 0, "re": 2.0, "im": 0.0}]
+
+    def test_small_monomial_product_scaled_up_is_kept(self, capsys):
+        # b^25 a* = q^25 a* b^25: 3.4e-18 at q = 0.2, below the prune, but
+        # the product's coefficient is 1e12 times that
+        code, out, _ = run(capsys, "normalize", "1e12 b^25 a'", "--q", "0.2")
+        assert code == 0
+        assert out.splitlines()[0] == "canonical form: 3.3554432e-06 * a* b^25"
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "normalize", "a + $")
@@ -126,7 +133,7 @@ class TestVerify:
             assert code == 0
             oracle = json.loads(out)["checks"][-1]
             assert oracle["value"] <= 1e-15
-            assert oracle["detail"] == "interior residual, margin = word length <= 3"
+            assert oracle["detail"] == "relative interior residual, margin = word length <= 3"
 
     def test_relations_report_keys_and_edge_defect_metric(self, capsys):
         code, out, _ = run(capsys, "verify", "relations", "--fock", "20", "--zband", "10")
@@ -166,6 +173,28 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert not checks["normal-form oracle (200 words)"]["pass"]
         assert all(c["pass"] for n, c in checks.items() if n.startswith("relation "))
+
+    @pytest.mark.parametrize("q", ["0.15", "0.5", "0.9"])
+    def test_normal_form_oracle_is_relative(self, capsys, q):
+        # at q = 0.15 normal-form coefficients reach 7.7e9 and the absolute
+        # residual 4.7e-10; relative to them it is rounding
+        code, out, _ = run(capsys, "verify", "relations", "--q", q)
+        assert code == 0
+        oracle = json.loads(out)["checks"][-1]
+        assert oracle["name"] == "normal-form oracle (200 words)"
+        assert oracle["value"] <= 1e-15
+
+    def test_normal_form_oracle_catches_a_foreign_sector_term(self, capsys, monkeypatch):
+        # 1e-6 b added to every normal form, foreign to every word outside
+        # b's sector: relative to the normal forms' coefficients it stays 1e-6
+        exact = rep.normalize
+        monkeypatch.setattr(rep, "normalize", lambda word, qp: exact(word, qp)
+                            + 1e-6 * ncpoly.NCPolynomial.generator(qp, ncpoly.BETA))
+        code, out, _ = run(capsys, "verify", "relations")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["normal-form oracle (200 words)"]["value"] >= 0.999e-6
+        assert [n for n, c in checks.items() if not c["pass"]] == ["normal-form oracle (200 words)"]
 
     def test_impossible_tolerance_fails_with_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "relations", "--tol", "relations=1e-30",

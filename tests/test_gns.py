@@ -462,17 +462,33 @@ class TestGramSchmidt:
                 assert abs(engine.imag) < 1e-12
 
     def test_orthonormality_defect_sees_foreign_charge_term(self, qp):
-        # a node vector of 1e-6 in sector (1, 0) added to the charge-(0,0)
-        # entry e^(1)_00 meets e^(1/2)_{-1/2,-1/2} = a / |a| there: a
-        # cross-pairing of 1e-6, far above the 1e-10 tolerance of `verify gns`
+        # a node vector of 1e-6 in sector (1, 0) beside the charge-(0, 0)
+        # entry e^(1)_00's own is refused by the basis, naming both sectors;
+        # the same vector added to e^(3/2)_{-1/2,-1/2}, whose sector (1, 0)
+        # it is, meets e^(1/2)_{-1/2,-1/2} = a / |a| there: the sector block
+        # reads that cross-pairing of 1e-6
         basis = gram_schmidt_basis(4, qp)
         assert basis_orthonormality_defect(basis, qp) <= 1e-15
-        entries = dict(basis.entries)
         alpha = basis.entries[(1, -1, -1)].nodes[(1, 0)]
-        e00 = entries[(2, 0, 0)]
-        entries[(2, 0, 0)] = GNSVector(e00.poly, {**e00.nodes, (1, 0): 1e-6 * alpha})
-        spoiled = GNSBasis(basis.lmax, entries, basis.norms)
+        e00 = basis.entries[(2, 0, 0)]
+        foreign = GNSVector(e00.poly, {**e00.nodes, (1, 0): 1e-6 * alpha})
+        with pytest.raises(ValueError, match=r"got \[\(0, 0\), \(1, 0\)\]"):
+            GNSBasis(basis.lmax, {**basis.entries, (2, 0, 0): foreign}, basis.norms)
+        e3 = basis.entries[(3, -1, -1)]
+        own = GNSVector(e3.poly, {(1, 0): e3.nodes[(1, 0)] + 1e-6 * alpha})
+        spoiled = GNSBasis(basis.lmax, {**basis.entries, (3, -1, -1): own}, basis.norms)
         assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(1e-6, rel=1e-9)
+
+    def test_basis_rejects_an_entry_outside_its_sector(self, qp):
+        # an entry lives in its label's sector alone: node vectors in a
+        # foreign sector, in an extra one beside its own, or in none raise
+        basis = gram_schmidt_basis(4, qp)
+        e00 = basis.entries[(2, 0, 0)]
+        alpha = basis.entries[(1, -1, -1)].nodes[(1, 0)]
+        for nodes in ({(1, 0): alpha}, {**e00.nodes, (1, 0): 1e-6 * alpha}, {}, None):
+            entries = {**basis.entries, (2, 0, 0): GNSVector(e00.poly, nodes)}
+            with pytest.raises(ValueError, match=r"l2=2 j2=0 k2=0 .* sector \(0, 0\) alone"):
+                GNSBasis(basis.lmax, entries, basis.norms)
 
     def test_orthonormality_defect_sees_a_perturbed_node_vector(self, qp):
         basis = gram_schmidt_basis(4, qp)
@@ -482,6 +498,22 @@ class TestGramSchmidt:
         entries[(2, 0, 0)] = GNSVector(e00.poly, {(0, 0): spoiled_nodes})
         spoiled = GNSBasis(basis.lmax, entries, basis.norms)
         assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(1e-6, rel=1e-6)
+
+    @pytest.mark.parametrize("lmax2", [0, 3, 8, 16])
+    def test_orthonormality_defect_matches_the_dense_gram(self, monkeypatch, lmax2):
+        # the sector blocks against the dense Gram of all entries, on the
+        # built basis and with the unit entry stretched by 1e-6
+        monkeypatch.setattr(gns, "LMAX2_CAP", 16)
+        qp = QParam(0.5)
+        basis = gram_schmidt_basis(lmax2, qp)
+        e0 = basis.entries[(0, 0, 0)]
+        stretched = GNSVector(e0.poly, {(0, 0): (1.0 + 1e-6) * e0.nodes[(0, 0)]})
+        spoiled = GNSBasis(basis.lmax, {**basis.entries, (0, 0, 0): stretched}, basis.norms)
+        assert basis_orthonormality_defect(basis, qp) <= 1e-15
+        assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(2e-6, rel=1e-6)
+        for b in (basis, spoiled):
+            assert basis_orthonormality_defect(b, qp) == pytest.approx(
+                routes.orthonormality_defect(b, qp), rel=1e-9, abs=1e-15)
 
     def test_orthonormality_defect_matches_expanded_gram(self, qp):
         basis = gram_schmidt_basis(3, qp)
@@ -653,8 +685,8 @@ class TestExactOracle:
     """The float GNS layer against exact rational arithmetic at q = 1/2, 1/3.
 
     Measured worst errors to lmax2 8: norms and x-coefficients 9.6e-16
-    (q = 1/2) and 2.0e-15 (q = 1/3), relative; squared pi(a), pi(b)
-    entries 7.8e-16, absolute.  The Hankel Gram-Schmidt missed by 2.1e-7 at
+    (q = 1/2) and 1.7e-15 (q = 1/3), relative; squared pi(a), pi(b)
+    entries 8.9e-16, absolute.  The Hankel Gram-Schmidt missed by 2.1e-7 at
     q = 1/2 and stopped at q = 1/3.
     """
 
@@ -717,8 +749,8 @@ class TestVerifyGnsMutations:
         assert failing_gns_checks("--q", "0.2", "--lmax2", "8") == []
         true_sweep = gns._project_out
         calls = itertools.count()
-        monkeypatch.setattr(gns, "_project_out", lambda u, cu, done, rows, m:
-                            true_sweep(u, cu, done, rows, m) if next(calls) % 2 == 0 else (u, cu))
+        monkeypatch.setattr(gns, "_project_out", lambda u, done, rows, m:
+                            true_sweep(u, done, rows, m) if next(calls) % 2 == 0 else u)
         assert failing_gns_checks("--q", "0.2", "--lmax2", "8") == ["orthonormality"]
 
     def test_label_count_check(self, monkeypatch):

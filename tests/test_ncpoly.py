@@ -212,6 +212,16 @@ class TestMul:
             z = random_polynomial(rng, qp, max_degree=3, n_terms=2)
             assert mul(mul(x, y), z).allclose(mul(x, mul(y, z)), 1e-9)
 
+    def test_prunes_only_the_result(self):
+        # b^25 a* = q^25 a* b^25: the monomial product's 3.4e-18 at q = 0.2
+        # is below the prune, the product's 3.4e-6 is not
+        qp = QParam(0.2)
+        got = mul(mono(qp, 0, 25, 0, 1e12), gen(qp, ALPHA_STAR))
+        assert got == normalize(Word((BETA,) * 25 + (ALPHA_STAR,), 1e12), qp)
+        assert got.coeff(CanonicalMonomial(-1, 25, 0)) == pytest.approx(3.3554432e-6, rel=1e-12)
+        # an intermediate product is itself a result, and is pruned
+        assert mul(mono(qp, 0, 25, 0), gen(qp, ALPHA_STAR)).is_zero()
+
     def test_degree_overflow_guard(self):
         qp = QParam(0.5, max_degree=6)
         x = mono(qp, 4, 0, 0)

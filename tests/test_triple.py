@@ -12,7 +12,7 @@ from qtriple.ncpoly import (
     monomials_up_to, random_polynomial, z2_act,
 )
 from qtriple import gns, triple
-from qtriple.gns import GNSBasis, GNSVector, HalfInt, gram_schmidt_basis
+from qtriple.gns import GNSBasis, GNSVector, HalfInt, gram_schmidt_basis, sector_of_label
 from qtriple.triple import (
     DiracSpec, aggregate_spectrum, assemble_unoriented_triple,
     certify_covering, check_parity, commutator_matrix, commutator_norm_scan,
@@ -103,26 +103,29 @@ class TestCommutator:
                 assert np.max(np.abs(got - want)) <= 1e-11, expr
 
     def test_block_pi_pairs_a_foreign_charge_term(self, qp):
-        # a node vector of 1e-6 in sector (1, -1) added to the charge-(0,0)
-        # row e^(1)_00: pi(a + b) pairs it with the a-part of the images of
-        # the charge (0, -1) columns, whose b-part selects that row
+        # pi(a + b) on the charge-(0, -1) columns: b lands them in sector
+        # (0, 0), the sector of the row e^(1)_00, and a in sector (1, -1),
+        # foreign to that row; each term pairs with its own sector's rows
+        # alone, so the two blocks add up to pi(a) + pi(b) and meet the
+        # per-entry oracle. A node vector of that foreign sector added to
+        # e^(1)_00 itself is refused by the basis.
         basis = gram_schmidt_basis(6, qp)
-        entries = dict(basis.entries)
-        foreign = basis.entries[(2, 0, -2)].nodes[(1, -1)]
-        e00 = entries[(2, 0, 0)]
-        entries[(2, 0, 0)] = GNSVector(e00.poly, {**e00.nodes, (1, -1): 1e-6 * foreign})
-        spoiled = GNSBasis(basis.lmax, entries, basis.norms)
-        # the oracle expands a e_c from the printed coefficients, so it sees
-        # the spoiled entry as a row only
-        rows = spoiled.labels()
-        cols = [lab for lab in rows if lab != (2, 0, 0)]
-        for expr in self.BLOCK_PI_ELEMENTS:
-            x = parse(expr, qp)
-            got = pi_matrix(x, spoiled, rows, cols)
-            assert np.max(np.abs(got - routes.pi_matrix(x, spoiled, rows, cols))) <= 1e-11, expr
+        labels = basis.labels()
+        sector = [sector_of_label(j2, k2) for _, j2, k2 in labels]
+        cols = [i for i, s in enumerate(sector) if s == (0, -1)]
         x = parse("a + b", qp)
-        gap = np.max(np.abs(pi_matrix(x, spoiled) - pi_matrix(x, basis)))
-        assert 1e-8 < gap < 1e-5
+        got = pi_matrix(x, basis)[:, cols]
+        hit = {sector[i] for i in np.flatnonzero(np.max(np.abs(got), axis=1) > 1e-12)}
+        assert hit == {(0, 0), (1, -1)}
+        parts = pi_matrix(parse("a", qp), basis) + pi_matrix(parse("b", qp), basis)
+        assert np.max(np.abs(got - parts[:, cols])) <= 1e-14
+        want = routes.pi_matrix(x, basis, labels, [labels[i] for i in cols])
+        assert np.max(np.abs(got - want)) <= 1e-11
+        e00 = basis.entries[(2, 0, 0)]
+        foreign = basis.entries[(2, 0, -2)].nodes[(1, -1)]
+        spoiled = GNSVector(e00.poly, {**e00.nodes, (1, -1): 1e-6 * foreign})
+        with pytest.raises(ValueError, match=r"got \[\(0, 0\), \(1, -1\)\]"):
+            GNSBasis(basis.lmax, {**basis.entries, (2, 0, 0): spoiled}, basis.norms)
 
     def test_block_pi_keeps_the_pairing_guarantees(self, qp):
         basis = gram_schmidt_basis(4, qp)
