@@ -27,26 +27,27 @@ is diagonal in n: it sends sector (c1, c2) to (c1 + k, c2 + i - j) and
 scales node n by W_m(n - c1) (`action_weights`).
 
 The orthonormal basis is Gram-Schmidt on node vectors (discretized
-Stieltjes), orthonormal to rounding at every depth.  Labels (l, j, k) attach
-to sectors through c1 = -(j+k), c2 = k - j, with l - max(|j|, |k|) counting
-depth inside the sector; an entry carries the node vector of its label's
-sector alone, which every pairing reads.  The orthogonal polynomials are
-little q-Jacobi polynomials in base q^2 with parameters a = q^(2|c2|),
-b = q^(2|c1|) and, on the c1 > 0 branch, the argument rescaled by q^(-2 c1)
-(a*^k a^k = prod (1 - q^(-2i) x) kills the first k nodes).  Their closed-form
-series gives the x-coefficients of the basis and `t_matrix` (printing, parity
-and algebra checks; they cancel in deep sectors); `t_matrix`'s node vectors
-come from a terminating 3phi1 transformation that does not cancel at small q.
+Stieltjes), orthonormal to rounding at every depth, and `GNSBasis` is its
+output array: vectors[depth, sector, node].  Labels (l, j, k) attach to
+sectors through c1 = -(j+k), c2 = k - j, with l - max(|j|, |k|) counting
+depth inside the sector, so every entry lives in its label's sector by
+construction; the meter and the operator layer read the sector blocks of
+that array.  The orthogonal polynomials are little q-Jacobi polynomials in
+base q^2 with parameters a = q^(2|c2|), b = q^(2|c1|) and, on the c1 > 0
+branch, the argument rescaled by q^(-2 c1) (a*^k a^k = prod (1 - q^(-2i) x)
+kills the first k nodes).  Their closed-form series gives the x-coefficients
+of the basis, built only when its entries are read, and of `t_matrix`
+(printing, parity and algebra checks; they cancel in deep sectors);
+`t_matrix`'s node vectors come from a terminating 3phi1 transformation that
+does not cancel at small q.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -413,102 +414,105 @@ def sector_moment(c1: int, c2: int, p: int, qp: QParam) -> float:
 # Orthonormal basis
 # ---------------------------------------------------------------------------
 
-class SectorStacks(NamedTuple):
-    """A basis's node vectors, stacked by charge sector.
-
-    Sector i, with charges ``sectors[i]``, holds the members
-    ``start[i]:start[i + 1]``: member m is the node vector ``nodes[m]`` of
-    the entry with label index ``label[m]``, in label order.  Every entry is
-    the member of exactly one sector, its label's.
-    """
-
-    sectors: tuple[tuple[int, int], ...]
-    start: np.ndarray
-    label: np.ndarray
-    nodes: np.ndarray
-
-    def shift_pairs(self, shift: tuple[int, int]):
-        """Every member pair (row, column) whose row sector is the column's
-        sector plus ``shift``, with the column's sector index: the entries of
-        the blocks V_s'^H diag(w) V_s of one charge shift, block by block."""
-        index = {s: i for i, s in enumerate(self.sectors)}
-        src, tgt = [], []
-        for i, (c1, c2) in enumerate(self.sectors):
-            j = index.get((c1 + shift[0], c2 + shift[1]))
-            if j is not None:
-                src.append(i)
-                tgt.append(j)
-        count = np.diff(self.start)
-        n_src, n_tgt = count[src], count[tgt]
-        sizes = n_src * n_tgt
-        block = np.repeat(np.arange(len(src)), sizes)
-        k = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        rows = self.start[tgt][block] + k // n_src[block]
-        cols = self.start[src][block] + k % n_src[block]
-        return rows, cols, np.asarray(src, dtype=int)[block]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GNSBasis:
-    """Orthonormal family e^(l)_{jk}, keyed by doubled labels (l2, j2, k2).
+    """Orthonormal family e^(l)_{jk}: the Gram-Schmidt array itself.
 
-    ``norms`` records the Gram-Schmidt diagonal (the length of the component
-    orthogonal to lower filtration layers) for each label; an entry whose
-    node vectors are not its label's sector's alone raises ValueError.
-    Immutable: the mappings are read-only and the node arrays are not
-    writable, so one instance can be shared (`gram_schmidt_basis` memoizes it).
+    ``vectors[depth, i]`` is the node vector of the depth-th entry of the
+    charge sector ``sectors[i]`` (sorted), zero past the sector's depth
+    count, and ``depth_norms[depth, i]`` its Gram-Schmidt diagonal (the
+    length of the component orthogonal to the lower filtration layers).  So
+    every entry lives in its label's sector by construction.  The labels
+    (l2, j2, k2), sorted, and the label-keyed views `norms` and `entries`
+    derive from this layout; the entries' x-coefficients are built on their
+    first read.  Immutable: the arrays are made read-only and the views are
+    read-only mappings, so one instance can be shared (`gram_schmidt_basis`
+    memoizes it).
     """
 
-    lmax: HalfInt
-    entries: dict[tuple[int, int, int], GNSVector]
-    norms: dict[tuple[int, int, int], float]
+    qp: QParam
+    sectors: tuple[tuple[int, int], ...]
+    vectors: np.ndarray
+    depth_norms: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        object.__setattr__(self, "norms", MappingProxyType(dict(self.norms)))
-        for (l2, j2, k2), entry in self.entries.items():
-            sector, found = sector_of_label(j2, k2), sorted(entry.nodes or ())
-            if found != [sector]:
-                raise ValueError(f"entry l2={l2} j2={j2} k2={k2} must have node vectors "
-                                 f"in sector {sector} alone, got {found}")
-
-    @property
-    def lmax2(self) -> int:
-        return self.lmax.twice
+        self.vectors.setflags(write=False)
+        self.depth_norms.setflags(write=False)
 
     @cached_property
-    def _labels(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(sorted(self.entries))
-
-    def labels(self) -> list[tuple[int, int, int]]:
-        return list(self._labels)
-
-    @cached_property
-    def label_array(self) -> np.ndarray:
-        """The sorted labels as an (n, 3) integer array."""
-        out = np.array(self._labels, dtype=int).reshape(-1, 3)
+    def depths(self) -> np.ndarray:
+        """Per sector, its number of entries: the nonzero rows of its vectors."""
+        out = np.count_nonzero(self.vectors.any(axis=2), axis=0)
         out.setflags(write=False)
         return out
 
     @cached_property
-    def qparams(self) -> frozenset:
-        """The deformation parameters of the entries: one, for a built basis."""
-        return frozenset(e.poly.qp for e in self.entries.values())
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted labels as an (n, 3) array, with each one's depth and sector index."""
+        depth, sector = np.nonzero(np.arange(len(self.vectors))[:, None] < self.depths)
+        c1, c2 = np.array(self.sectors)[sector].T
+        labels = np.stack([np.abs(c1) + np.abs(c2) + 2 * depth, -(c1 + c2), c2 - c1], axis=1)
+        order = np.lexsort(labels.T[::-1])
+        out = labels[order], depth[order], sector[order]
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
+    @property
+    def label_array(self) -> np.ndarray:
+        """The sorted labels as an (n, 3) integer array."""
+        return self._layout[0]
+
+    @property
+    def label_sector(self) -> np.ndarray:
+        """Per sorted label, the index of its sector."""
+        return self._layout[2]
+
+    @cached_property
+    def label_index(self) -> np.ndarray:
+        """Per (depth, sector index), the position of its label among the
+        sorted labels; -1 past the sector's depth count."""
+        _, depth, sector = self._layout
+        out = np.full(self.vectors.shape[:2], -1)
+        out[depth, sector] = np.arange(len(depth))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _labels(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self.label_array.tolist()))
+
+    def labels(self) -> list[tuple[int, int, int]]:
+        return list(self._labels)
+
+    @property
+    def lmax2(self) -> int:
+        return int(self.label_array[-1, 0])
+
+    @cached_property
+    def norms(self) -> MappingProxyType:
+        """Per label, its Gram-Schmidt diagonal."""
+        _, depth, sector = self._layout
+        return MappingProxyType(dict(zip(self._labels, self.depth_norms[depth, sector].tolist())))
+
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        """Per label, its GNSVector: the node vector, and as x-coefficients the
+        closed-form series with leading coefficient 1 / norm > 0 (real parts
+        only, so every imaginary part stays +0.0).  Built on first read, for
+        printing, parity and algebra products."""
+        _, depth, sector = self._layout
+        out = {}
+        for key, d, i in zip(self._labels, depth.tolist(), sector.tolist()):
+            c1, c2 = self.sectors[i]
+            series = _matrix_coefficient_series(c1, c2, d, self.qp).terms
+            scale = 1.0 / (series[_sector_base_monomial(c1, c2, d)].real * self.depth_norms[d, i])
+            poly = NCPolynomial(self.qp, {m: c.real * scale for m, c in series.items()})
+            out[key] = GNSVector(poly, {(c1, c2): self.vectors[d, i]})
+        return MappingProxyType(out)
 
     def vector(self, l, j, k) -> GNSVector:
         return self.entries[(halfint(l).twice, halfint(j).twice, halfint(k).twice)]
-
-    @cached_property
-    def stacks(self) -> SectorStacks:
-        """The entries' node vectors stacked per charge sector, built once."""
-        keys = [sector_of_label(j2, k2) for _, j2, k2 in self._labels]
-        label = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=int)
-        sectors, counts = zip(*sorted(Counter(keys).items()))
-        start = np.cumsum([0, *counts])
-        nodes = np.array([self.entries[self._labels[i]].nodes[keys[i]] for i in label])
-        for arr in (start, label, nodes):
-            arr.setflags(write=False)
-        return SectorStacks(sectors, start, label, nodes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -552,8 +556,10 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
     on all sectors of a depth at once; norm = the product of the residuals.
     Every operation is elementwise or a sum along one sector's nodes, so a
     lower cutoff's basis is bitwise the leading part of a higher one's.  The
-    x-coefficients are the closed-form series with leading coefficient
-    1 / norm > 0.  A residual below 1e-150 (extreme q) raises GramSingularError.
+    basis is this (depth, sector, node) array and the norms; the entries'
+    x-coefficients come from the closed-form series when first read
+    (`GNSBasis.entries`).  A residual below 1e-150 (extreme q) raises
+    GramSingularError.
 
     One immutable basis per (lmax2, qp) is memoized, at most
     BASIS_MEMO_SIZE of them, least recently used first out: near q = 1 a
@@ -585,18 +591,7 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
                 f"is below {_RESIDUAL_FLOOR:.0e}")
         vectors[depth, rows] = u / residual[:, None]
         norm[depth, rows] = residual * norm[depth - 1, rows] if depth else residual
-    vectors.setflags(write=False)
-    entries: dict[tuple[int, int, int], GNSVector] = {}
-    norms: dict[tuple[int, int, int], float] = {}
-    for i, ((c1, c2), labels) in enumerate(sectors):
-        for depth, key in enumerate(labels):
-            series = _matrix_coefficient_series(c1, c2, depth, qp).terms
-            scale = 1.0 / (series[_sector_base_monomial(c1, c2, depth)].real * norm[depth, i])
-            # the series is real; scaling real parts keeps the imaginary ones +0.0
-            poly = NCPolynomial(qp, {m: c.real * scale for m, c in series.items()})
-            entries[key] = GNSVector(poly, {(c1, c2): vectors[depth, i]})
-            norms[key] = float(norm[depth, i])
-    return GNSBasis(HalfInt(lmax2), entries, norms)
+    return GNSBasis(qp, tuple(sector for sector, _ in sectors), vectors, norm)
 
 
 def _matrix_coefficient_series(c1: int, c2: int, depth: int, qp: QParam) -> NCPolynomial:
@@ -669,15 +664,13 @@ def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:
     """Worst deviation |<e_i, e_j> - delta_ij| of the basis from orthonormality.
 
     Entries of distinct sectors pair to an exact 0, so the worst is taken
-    over the sectors' Gram blocks of node vectors, one batched product per
-    sector size.
+    over the sectors' Gram blocks of the node array, one batched product
+    per depth count.
     """
     _require_deformed(qp)
-    st = basis.stacks
-    count = np.diff(st.start)
     worst = 0.0
-    for size in set(count.tolist()):
-        v = st.nodes[st.start[:-1][count == size][:, None] + np.arange(size)]
+    for size in set(basis.depths.tolist()):
+        v = np.ascontiguousarray(basis.vectors[:size, basis.depths == size].swapaxes(0, 1))
         gram = (1.0 - qp.q * qp.q) * (np.conjugate(v) @ v.transpose(0, 2, 1))
         worst = max(worst, float(np.max(np.abs(gram - np.eye(size)))))
     return worst

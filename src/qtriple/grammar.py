@@ -22,7 +22,7 @@ Example:  parse("a b - q b a", qp)  is the zero polynomial.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ncpoly import (
     ALPHA, ALPHA_STAR, BETA, BETA_STAR, UNIT_MONOMIAL,
@@ -206,10 +206,15 @@ def _as_scalar(p: NCPolynomial):
 
 
 def parse(text: str, qp: QParam) -> NCPolynomial:
-    """Parse an expression into its (always normalized) canonical form."""
-    parser = _Parser(_tokenize(text), qp)
+    """Parse an expression into its (always normalized) canonical form.
+
+    As in `normalize` and `mul`, only the result is pruned: the expression
+    is evaluated with nothing pruned, since a small intermediate product can
+    be scaled up by a later factor, and the result takes ``qp``'s threshold.
+    """
+    parser = _Parser(_tokenize(text), replace(qp, prune=0.0))
     result = parser.expr()
     end = parser.next()
     if end.kind != "END":
         raise ParseError(f"trailing input starting with {end.kind}", end.pos)
-    return result
+    return NCPolynomial(qp, result.terms)

@@ -227,9 +227,6 @@ class BigradedOp:
     def degrees(self) -> list[tuple[int, int]]:
         return sorted(self.components.keys())
 
-    def is_homogeneous(self) -> bool:
-        return len(self.components) <= 1
-
     def parts(self) -> list[BigradedOp]:
         """Each homogeneous component as an operator of its own, by degree."""
         return [BigradedOp(self.model, {deg: self.components[deg]}) for deg in self.degrees()]

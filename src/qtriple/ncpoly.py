@@ -256,12 +256,6 @@ class NCPolynomial:
     def coeff(self, mon: CanonicalMonomial) -> complex:
         return self.terms.get(mon, 0.0 + 0.0j)
 
-    def adjoint(self) -> "NCPolynomial":
-        return adjoint(self)
-
-    def z2(self) -> "NCPolynomial":
-        return z2_act(self)
-
     def allclose(self, other: "NCPolynomial", tol: float = 1e-12) -> bool:
         if self.qp != other.qp:
             return False

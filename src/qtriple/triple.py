@@ -89,31 +89,40 @@ def check_parity(basis: GNSBasis) -> list[CheckResult]:
     return out
 
 
-def _pi_entries(a: NCPolynomial, basis: GNSBasis, row_ok: np.ndarray, col_ok: np.ndarray):
-    """The entries of pi(a) that its charges allow between rows and columns
-    where the label masks hold: label-index arrays (row, column) and values.
+def _pi_entries(a: NCPolynomial, basis: GNSBasis, cols: np.ndarray):
+    """The entries of pi(a) on the leading ``cols[s]`` entries of each source
+    sector s: label-index arrays (row, column) and values.
 
     pi(a) is diagonal on node vectors (`gns.action_weights`), so the block
-    from sector s to s' is V_s'^H diag(w) V_s.  Per charge shift of a, the
-    entries of all its blocks are formed in one contraction over the nodes;
-    each sums over the nodes of its own two vectors alone, so its bits do
-    not depend on the other labels.  Every basis entry lives in one sector,
-    so each (row, column) occurs at most once.
+    from sector s to t = s + shift is V_t^T diag(w) V_s (node vectors are
+    real), formed for all the blocks of one charge shift and shape at once.
+    Each entry is the elementwise product of its two vectors and w, summed
+    over the nodes, so its bits do not depend on the other entries.
     """
-    st = basis.stacks
-    c1s, sector_c1 = np.unique([c1 for c1, _ in st.sectors], return_inverse=True)
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, complex)]
-    for shift, w in action_weights(a, c1s).items():
-        ri, ci, src = st.shift_pairs(shift)
-        keep = row_ok[st.label[ri]] & col_ok[st.label[ci]]
-        ri, ci, src = ri[keep], ci[keep], src[keep]
-        prod = w[sector_c1[src]]
-        prod *= st.nodes[ci]
-        prod *= np.conjugate(st.nodes[ri])
-        vals.append(prod.sum(axis=-1))
-        rows.append(st.label[ri])
-        cols.append(st.label[ci])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    if basis.qp != a.qp:
+        raise ValueError("mixed deformation parameters")
+    index = {sector: i for i, sector in enumerate(basis.sectors)}
+    c1, top = np.array(basis.sectors)[:, 0], basis.lmax2
+    out = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, complex),)]
+    for (k, d), w in action_weights(a, np.arange(-top, top + 1)).items():  # row c1 + top
+        tgt = np.array([index.get((s1 + k, s2 + d), -1) for s1, s2 in basis.sectors])
+        src = np.flatnonzero((tgt >= 0) & (cols > 0))
+        tgt = tgt[src]
+        height, width = basis.depths[tgt], cols[src]
+        shape = height * (top + 2) + width
+        # the blocks in order of shape, each with its entries (i, j) in row-major order
+        order = np.argsort(shape, kind="stable")
+        size = (height * width)[order]
+        block = np.repeat(order, size)
+        n = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        vals = [np.zeros(0, complex)]
+        for group in (order[shape[order] == value] for value in sorted(set(shape.tolist()))):
+            vs = basis.vectors[:width[group[0]], src[group]].swapaxes(0, 1)[:, None]
+            vt = basis.vectors[:height[group[0]], tgt[group]].swapaxes(0, 1)[:, :, None]
+            vals.append(((w[c1[src[group]] + top][:, None, None] * vs) * vt).sum(axis=-1).ravel())
+        out.append((basis.label_index[n // width[block], tgt[block]],
+                    basis.label_index[n % width[block], src[block]], np.concatenate(vals)))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def _positions(basis: GNSBasis, labels) -> np.ndarray:
@@ -130,16 +139,15 @@ def pi_matrix(a: NCPolynomial, basis: GNSBasis,
 
     Entry (r, c) is <e_r, a e_c>: the dense view of the sector blocks of
     `_pi_entries`; charge-incompatible blocks vanish and are never formed.
-    A basis entry at another q than a's raises ValueError.
+    A basis at another q than a's raises ValueError.
     """
-    if basis.qparams != {a.qp}:
-        raise ValueError("mixed deformation parameters")
     rows = list(row_labels if row_labels is not None else basis.labels())
     cols = list(col_labels if col_labels is not None else basis.labels())
-    row_pos, col_pos = _positions(basis, rows), _positions(basis, cols)
-    r, c, v = _pi_entries(a, basis, row_pos >= 0, col_pos >= 0)
+    r, c, v = _pi_entries(a, basis, basis.depths)
+    r, c = _positions(basis, rows)[r], _positions(basis, cols)[c]
+    keep = (r >= 0) & (c >= 0)
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    mat[row_pos[r], col_pos[c]] = v
+    mat[r[keep], c[keep]] = v[keep]
     return mat
 
 
@@ -153,12 +161,12 @@ def _guard_cut(lmax2: int, degree: int) -> int:
 
 def _commutator_entries(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec):
     """[D, pi(a)] over the guard-banded domain as label-index arrays (row,
-    column) and values: the entries of `_pi_entries` times d_r - d_c."""
-    if basis.qparams != {a.qp}:
-        raise ValueError("mixed deformation parameters")
-    l2 = basis.label_array[:, 0]
-    cut = _guard_cut(basis.lmax2, max(a.degree(), 0))
-    r, c, v = _pi_entries(a, basis, np.ones(len(l2), dtype=bool), l2 <= cut)
+    column) and values: the entries of `_pi_entries` on the columns with
+    l2 <= lmax2 - 2 deg(a), times d_r - d_c."""
+    guarded = basis.label_array[:, 0] <= _guard_cut(basis.lmax2, max(a.degree(), 0))
+    # depth order is l2 order in a sector, so its guarded entries lead
+    r, c, v = _pi_entries(a, basis, np.bincount(basis.label_sector[guarded],
+                                                minlength=len(basis.sectors)))
     d = spec.diagonal(basis.label_array)
     return r, c, (d[r] - d[c]) * v
 
@@ -170,12 +178,12 @@ def commutator_matrix(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec) -> np.n
     expands entirely inside the built basis (no cutoff leakage); rows span
     the full basis, so the matrix is the exact action on the banded domain
     and its norm grows monotonically with lmax.  The dense view of
-    `_commutator_entries`.
+    `_commutator_entries`; labels sort by l2, so the guarded columns lead.
     """
     r, c, v = _commutator_entries(a, basis, spec)
     l2 = basis.label_array[:, 0]
-    cut = _guard_cut(basis.lmax2, max(a.degree(), 0))
-    mat = np.zeros((len(l2), int(np.sum(l2 <= cut))), dtype=complex)
+    mat = np.zeros((len(l2), int(np.sum(l2 <= _guard_cut(basis.lmax2, max(a.degree(), 0))))),
+                   dtype=complex)
     mat[r, c] = v
     return mat
 
@@ -206,33 +214,21 @@ def _ranks(groups: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _component_layout(rows: np.ndarray, cols: np.ndarray):
-    """The connected components of the bipartite graph with the edges
-    (rows[e], cols[e]): per edge, its component's index and the positions
-    of its row and its column among the component's rows and columns, both
-    in increasing order."""
-    row_nodes, row_of = np.unique(rows, return_inverse=True)
-    col_nodes, col_of = np.unique(cols, return_inverse=True)
-    n_rows = len(row_nodes)
-    root = _connected_roots(row_of, n_rows + col_of, n_rows + len(col_nodes))
-    _, component = np.unique(root[row_of], return_inverse=True)
-    return component, _ranks(root[:n_rows])[row_of], _ranks(root[n_rows:])[col_of]
-
-
 def commutator_norm_scan(a: NCPolynomial, qp: QParam, lmax2_list) -> list[float]:
     """Norm of the guarded commutator at increasing cutoffs (nondecreasing).
 
     One basis and the commutator's entries are built at the top cutoff.
     Labels sort by l2 and a lower cutoff's basis vectors are bitwise those
     of the top basis, so the commutator at cutoff L is the top one
-    restricted to rows l2 <= L and guarded columns l2 <= L - 2 deg(a).
-    Its norm is the largest over the connected components of its sector
-    graph (rows and columns joined by the entries the charges allow): one
-    block per source sector for a single-charge element, chains of blocks
-    for several charges.  The components of all cutoffs go through one
-    batched SVD per component shape, so each one's singular values do not
-    depend on the others, and the values equal those of a scan rebuilt at
-    every cutoff.
+    restricted to rows l2 <= L and guarded columns l2 <= L - 2 deg(a): the
+    leading part of each sector-pair block, as depth order is l2 order in a
+    sector.  Its norm is the largest over the connected components of its
+    sector graph (row and column sectors joined by their live blocks), each
+    a dense block with its rows and columns in label order: one sector-pair
+    block for a single-charge element, chains of blocks for several charges.
+    The components of all cutoffs go through one batched SVD per component
+    shape, so each one's singular values do not depend on the others, and
+    the values equal those of a scan rebuilt at every cutoff.
     """
     cutoffs = list(lmax2_list)
     if not cutoffs:
@@ -242,28 +238,35 @@ def commutator_norm_scan(a: NCPolynomial, qp: QParam, lmax2_list) -> list[float]
     top = max(cutoffs)
     basis = gram_schmidt_basis(top, qp)
     r, c, v = _commutator_entries(a, basis, DiracSpec(HalfInt(top)))
-    l2, n = basis.label_array[:, 0], len(basis.entries)
-    live = (l2[r] <= np.array(cutoffs)[:, None]) & (l2[c] <= np.array(cuts)[:, None])
-    scan, edge = np.nonzero(live)
+    l2 = basis.label_array[:, 0]
+    row_live, col_live = l2 <= np.array(cutoffs)[:, None], l2 <= np.array(cuts)[:, None]
+    scan, edge = np.nonzero(row_live[:, r] & col_live[:, c])
     norms = np.zeros(len(cutoffs))
     if not len(edge):
         return norms.tolist()
-    # one copy of the graph per cutoff: node ids scan * n + label index
-    component, row_pos, col_pos = _component_layout(scan * n + r[edge], scan * n + c[edge])
-    n_comp = component.max() + 1
-    height, width, owner = (np.zeros(n_comp, dtype=int) for _ in range(3))
-    np.maximum.at(height, component, row_pos + 1)
-    np.maximum.at(width, component, col_pos + 1)
-    owner[component] = scan
-    shape = height * (width.max() + 1) + width
+    # per (cutoff k, label): its sector's row node k S + t; the column node is K S more
+    n_nodes = len(cutoffs) * len(basis.sectors)
+    node = np.arange(len(cutoffs))[:, None] * len(basis.sectors) + basis.label_sector
+    root = _connected_roots(node[scan, r[edge]], n_nodes + node[scan, c[edge]], 2 * n_nodes)
+    row_comp, col_comp = root[node], root[n_nodes + node]
+    # a label's place in its component, in label order: the labels before it
+    # have no larger l2, so they are live wherever it is
+    row_pos, col_pos = (_ranks(comp.ravel()).reshape(comp.shape) for comp in (row_comp, col_comp))
+    height = np.bincount(row_comp[row_live], minlength=2 * n_nodes)
+    width = np.bincount(col_comp[col_live], minlength=2 * n_nodes)
+    component = row_comp[scan, r[edge]]
+    members = np.flatnonzero(np.bincount(component, minlength=2 * n_nodes))
+    shape = height[members] * (width.max() + 1) + width[members]
     order = np.argsort(shape, kind="stable")
-    for members in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
-        slot = np.full(n_comp, -1)
-        slot[members] = np.arange(len(members))
+    for group in np.split(members[order], np.flatnonzero(np.diff(shape[order])) + 1):
+        slot = np.full(2 * n_nodes, -1)
+        slot[group] = np.arange(len(group))
         sel = slot[component] >= 0
-        blocks = np.zeros((len(members), height[members[0]], width[members[0]]), dtype=complex)
-        blocks[slot[component[sel]], row_pos[sel], col_pos[sel]] = v[edge[sel]]
-        np.maximum.at(norms, owner[members], np.linalg.svd(blocks, compute_uv=False)[:, 0])
+        blocks = np.zeros((len(group), height[group[0]], width[group[0]]), dtype=complex)
+        blocks[slot[component[sel]], row_pos[scan[sel], r[edge[sel]]],
+               col_pos[scan[sel], c[edge[sel]]]] = v[edge[sel]]
+        np.maximum.at(norms, group // len(basis.sectors),
+                      np.linalg.svd(blocks, compute_uv=False)[:, 0])
     return norms.tolist()
 
 

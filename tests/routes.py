@@ -109,15 +109,15 @@ def pi_matrix(a: NCPolynomial, basis, row_labels=None, col_labels=None) -> np.nd
 
 
 def orthonormality_defect(basis, qp: QParam) -> float:
-    """max |<e_i, e_j> - delta_ij| over the dense n x n Gram of the entries'
-    node vectors, every member pair of every sector scattered into it."""
-    st = basis.stacks
-    rows, cols, _ = st.shift_pairs((0, 0))
-    n = len(basis.entries)
-    gram = np.zeros((n, n), dtype=complex)
-    np.add.at(gram, (st.label[rows], st.label[cols]),
-              (1.0 - qp.q * qp.q) * (np.conjugate(st.nodes[rows]) * st.nodes[cols]).sum(axis=-1))
-    return float(np.max(np.abs(gram - np.eye(n))))
+    """max |<e_i, e_j> - delta_ij| over the dense n x n Gram of all labels:
+    each label's node vector read from the array at its sector and its depth
+    l - max(|j|, |k|), entries of distinct sectors paired to 0."""
+    labels = basis.labels()
+    sector = [basis.sectors.index(sector_of_label(j2, k2)) for _, j2, k2 in labels]
+    depth = [(l2 - max(abs(j2), abs(k2))) // 2 for l2, j2, k2 in labels]
+    v = basis.vectors[depth, sector]
+    gram = np.where(np.equal.outer(sector, sector), (1.0 - qp.q * qp.q) * (v @ v.T), 0.0)
+    return float(np.max(np.abs(gram - np.eye(len(labels)))))
 
 
 def word_grid(letters, t: rep.TruncationSpec, q: float) -> tuple[int, int, np.ndarray]:

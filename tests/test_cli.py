@@ -56,6 +56,13 @@ class TestNormalize:
         assert code == 0
         assert out.splitlines()[0] == "canonical form: 3.3554432e-06 * a* b^25"
 
+    def test_scalar_after_a_small_product_is_kept(self, capsys):
+        # the parser folds left to right: b^25 a* (3.4e-18) is an
+        # intermediate product here, and only the result is pruned
+        code, out, _ = run(capsys, "normalize", "b^25 a' 1e12", "--q", "0.2")
+        assert code == 0
+        assert out.splitlines()[0] == "canonical form: 3.3554432e-06 * a* b^25"
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "normalize", "a + $")
         assert code == 2

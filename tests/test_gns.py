@@ -410,17 +410,37 @@ class TestGramSchmidt:
         with pytest.raises(TypeError):
             basis.norms[(2, 0, 0)] = 2.0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            basis.lmax = HalfInt(2)
+            basis.vectors = basis.vectors.copy()
         with pytest.raises(TypeError):
             entry.nodes[(1, 0)] = entry.nodes[(0, 0)]
-        for array in (entry.nodes[(0, 0)], basis.stacks.nodes, basis.label_array):
+        for array in (entry.nodes[(0, 0)], basis.vectors, basis.depth_norms, basis.depths,
+                      basis.label_array, basis.label_index):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        # a basis assembled from plain dicts holds copies of them
-        entries = dict(basis.entries)
-        rebuilt = GNSBasis(basis.lmax, entries, basis.norms)
-        entries.clear()
-        assert rebuilt.labels() == basis.labels()
+
+    def test_x_coefficients_are_built_only_when_read(self, monkeypatch, qp):
+        # the meter and the operator layer read the node array alone; the
+        # closed-form series runs when the entries are first read, and then
+        # scales by 1 / (leading coefficient x norm), real parts only
+        def refuse(*args):
+            raise AssertionError("x-coefficients built")
+
+        monkeypatch.setattr(gns, "_matrix_coefficient_series", refuse)
+        basis = gram_schmidt_basis(6, qp)
+        x = parse("a + b b'", qp)
+        assert basis_orthonormality_defect(basis, qp) <= 1e-15
+        assert np.any(triple.pi_matrix(x, basis))
+        assert np.any(triple.commutator_matrix(x, basis, triple.DiracSpec(HalfInt(6))))
+        assert triple.commutator_norm_scan(x, qp, [4, 5, 6])[-1] > 0.0
+        monkeypatch.undo()
+        for (c1, c2), labels in sector_labels(6):
+            i = basis.sectors.index((c1, c2))
+            for depth, key in enumerate(labels):
+                series = gns._matrix_coefficient_series(c1, c2, depth, qp).terms
+                lead = series[gns._sector_base_monomial(c1, c2, depth)].real
+                scale = 1.0 / (lead * basis.depth_norms[depth, i])
+                want = NCPolynomial(qp, {m: c.real * scale for m, c in series.items()})
+                assert same_bits(basis.entries[key].poly, want), key
 
     def test_basis_memo_is_bounded(self):
         # near q = 1 a basis is large (120 MB at q = 0.999), so the memo
@@ -462,41 +482,26 @@ class TestGramSchmidt:
                 assert abs(engine.imag) < 1e-12
 
     def test_orthonormality_defect_sees_foreign_charge_term(self, qp):
-        # a node vector of 1e-6 in sector (1, 0) beside the charge-(0, 0)
-        # entry e^(1)_00's own is refused by the basis, naming both sectors;
-        # the same vector added to e^(3/2)_{-1/2,-1/2}, whose sector (1, 0)
-        # it is, meets e^(1/2)_{-1/2,-1/2} = a / |a| there: the sector block
-        # reads that cross-pairing of 1e-6
+        # the charge-(1, 0) node vector of e^(1/2)_{-1/2,-1/2} = a / |a|,
+        # added at 1e-6 to e^(3/2)_{-1/2,-1/2}, the next entry of that
+        # sector, in a spoiled copy of the node array: the sector block
+        # reads that cross-pairing of 1e-6 (an entry cannot carry a vector
+        # of another sector: the array has one slot per sector and depth)
         basis = gram_schmidt_basis(4, qp)
         assert basis_orthonormality_defect(basis, qp) <= 1e-15
-        alpha = basis.entries[(1, -1, -1)].nodes[(1, 0)]
-        e00 = basis.entries[(2, 0, 0)]
-        foreign = GNSVector(e00.poly, {**e00.nodes, (1, 0): 1e-6 * alpha})
-        with pytest.raises(ValueError, match=r"got \[\(0, 0\), \(1, 0\)\]"):
-            GNSBasis(basis.lmax, {**basis.entries, (2, 0, 0): foreign}, basis.norms)
-        e3 = basis.entries[(3, -1, -1)]
-        own = GNSVector(e3.poly, {(1, 0): e3.nodes[(1, 0)] + 1e-6 * alpha})
-        spoiled = GNSBasis(basis.lmax, {**basis.entries, (3, -1, -1): own}, basis.norms)
+        sector = basis.sectors.index((1, 0))
+        vectors = basis.vectors.copy()
+        vectors[1, sector] += 1e-6 * vectors[0, sector]
+        spoiled = GNSBasis(qp, basis.sectors, vectors, basis.depth_norms)
         assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(1e-6, rel=1e-9)
 
-    def test_basis_rejects_an_entry_outside_its_sector(self, qp):
-        # an entry lives in its label's sector alone: node vectors in a
-        # foreign sector, in an extra one beside its own, or in none raise
-        basis = gram_schmidt_basis(4, qp)
-        e00 = basis.entries[(2, 0, 0)]
-        alpha = basis.entries[(1, -1, -1)].nodes[(1, 0)]
-        for nodes in ({(1, 0): alpha}, {**e00.nodes, (1, 0): 1e-6 * alpha}, {}, None):
-            entries = {**basis.entries, (2, 0, 0): GNSVector(e00.poly, nodes)}
-            with pytest.raises(ValueError, match=r"l2=2 j2=0 k2=0 .* sector \(0, 0\) alone"):
-                GNSBasis(basis.lmax, entries, basis.norms)
-
     def test_orthonormality_defect_sees_a_perturbed_node_vector(self, qp):
+        # e^(1)_00 gains 1e-6 of the unit entry, in a copy of the node array
         basis = gram_schmidt_basis(4, qp)
-        entries = dict(basis.entries)
-        e00 = entries[(2, 0, 0)]
-        spoiled_nodes = e00.nodes[(0, 0)] + 1e-6 * entries[(0, 0, 0)].nodes[(0, 0)]
-        entries[(2, 0, 0)] = GNSVector(e00.poly, {(0, 0): spoiled_nodes})
-        spoiled = GNSBasis(basis.lmax, entries, basis.norms)
+        sector = basis.sectors.index((0, 0))
+        vectors = basis.vectors.copy()
+        vectors[1, sector] += 1e-6 * vectors[0, sector]
+        spoiled = GNSBasis(qp, basis.sectors, vectors, basis.depth_norms)
         assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(1e-6, rel=1e-6)
 
     @pytest.mark.parametrize("lmax2", [0, 3, 8, 16])
@@ -506,9 +511,9 @@ class TestGramSchmidt:
         monkeypatch.setattr(gns, "LMAX2_CAP", 16)
         qp = QParam(0.5)
         basis = gram_schmidt_basis(lmax2, qp)
-        e0 = basis.entries[(0, 0, 0)]
-        stretched = GNSVector(e0.poly, {(0, 0): (1.0 + 1e-6) * e0.nodes[(0, 0)]})
-        spoiled = GNSBasis(basis.lmax, {**basis.entries, (0, 0, 0): stretched}, basis.norms)
+        vectors = basis.vectors.copy()
+        vectors[0, basis.sectors.index((0, 0))] *= 1.0 + 1e-6
+        spoiled = GNSBasis(qp, basis.sectors, vectors, basis.depth_norms)
         assert basis_orthonormality_defect(basis, qp) <= 1e-15
         assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(2e-6, rel=1e-6)
         for b in (basis, spoiled):

@@ -11,8 +11,8 @@ from qtriple.ncpoly import (
     CanonicalMonomial, NCPolynomial, QParam,
     monomials_up_to, random_polynomial, z2_act,
 )
-from qtriple import gns, triple
-from qtriple.gns import GNSBasis, GNSVector, HalfInt, gram_schmidt_basis, sector_of_label
+from qtriple import triple
+from qtriple.gns import HalfInt, gram_schmidt_basis, sector_of_label
 from qtriple.triple import (
     DiracSpec, aggregate_spectrum, assemble_unoriented_triple,
     certify_covering, check_parity, commutator_matrix, commutator_norm_scan,
@@ -107,8 +107,7 @@ class TestCommutator:
         # (0, 0), the sector of the row e^(1)_00, and a in sector (1, -1),
         # foreign to that row; each term pairs with its own sector's rows
         # alone, so the two blocks add up to pi(a) + pi(b) and meet the
-        # per-entry oracle. A node vector of that foreign sector added to
-        # e^(1)_00 itself is refused by the basis.
+        # per-entry oracle
         basis = gram_schmidt_basis(6, qp)
         labels = basis.labels()
         sector = [sector_of_label(j2, k2) for _, j2, k2 in labels]
@@ -121,11 +120,6 @@ class TestCommutator:
         assert np.max(np.abs(got - parts[:, cols])) <= 1e-14
         want = routes.pi_matrix(x, basis, labels, [labels[i] for i in cols])
         assert np.max(np.abs(got - want)) <= 1e-11
-        e00 = basis.entries[(2, 0, 0)]
-        foreign = basis.entries[(2, 0, -2)].nodes[(1, -1)]
-        spoiled = GNSVector(e00.poly, {**e00.nodes, (1, -1): 1e-6 * foreign})
-        with pytest.raises(ValueError, match=r"got \[\(0, 0\), \(1, -1\)\]"):
-            GNSBasis(basis.lmax, {**basis.entries, (2, 0, 0): spoiled}, basis.norms)
 
     def test_block_pi_keeps_the_pairing_guarantees(self, qp):
         basis = gram_schmidt_basis(4, qp)
@@ -229,28 +223,24 @@ class TestCommutator:
         assert self.scan_gap() <= 1e-12
 
     def test_norm_scan_oracle_catches_a_dropped_block(self, monkeypatch):
-        # the pairs of one sector pair, the largest, go missing from pi
+        # the entries of one sector-pair block, the largest, go missing from pi
         self.dense_scans()
-        true_pairs = gns.SectorStacks.shift_pairs
+        true_entries = triple._pi_entries
 
-        def dropped(stacks, shift):
-            rows, cols, src = true_pairs(stacks, shift)
-            keep = src != np.bincount(src).argmax()
-            return rows[keep], cols[keep], src[keep]
+        def dropped(a, basis, cols):
+            rows, cols, vals = true_entries(a, basis, cols)
+            pair = basis.label_sector[rows] * len(basis.sectors) + basis.label_sector[cols]
+            keep = pair != np.bincount(pair).argmax()
+            return rows[keep], cols[keep], vals[keep]
 
-        monkeypatch.setattr(gns.SectorStacks, "shift_pairs", dropped)
+        monkeypatch.setattr(triple, "_pi_entries", dropped)
         assert self.scan_gap() > 1e-3
 
     def test_norm_scan_oracle_catches_merged_components(self, monkeypatch):
-        # the first two components share one block, their entries superposed
+        # the layout of each component collapses: every row and column at
+        # its first place, so the entries of a component land on each other
         self.dense_scans()
-        true_layout = triple._component_layout
-
-        def merged(rows, cols):
-            component, row_pos, col_pos = true_layout(rows, cols)
-            return np.where(component >= 1, component - 1, component), row_pos, col_pos
-
-        monkeypatch.setattr(triple, "_component_layout", merged)
+        monkeypatch.setattr(triple, "_ranks", lambda groups: np.zeros_like(groups))
         assert self.scan_gap() > 1e-3
 
     def test_unguarded_pi_is_a_contraction(self):
