@@ -266,9 +266,10 @@ def suite_relations(cfg: RunConfig) -> list[CheckResult]:
     cap = min(8, t.fock_dim - 1, t.z_band)  # a longer word could graze the window's edges
     words = [random_word(rng, max_len=cap) for _ in range(200)]
     tol_nf = cfg.tol("normal_form")
+    forms = [normalize(w, cfg.qp) for w in words]
     # relative to 1 or the normal form's largest coefficient (1e10 at small q)
-    scales = [max([1.0, *map(abs, normalize(w, cfg.qp).terms.values())]) for w in words]
-    residuals = rep.normal_form_residual(words, cfg.trunc(), cfg.qp)
+    scales = [max([1.0, *map(abs, nf.terms.values())]) for nf in forms]
+    residuals = rep.normal_form_residual(words, cfg.trunc(), cfg.qp, forms)
     worst = max([0.0, *(r / s for r, s in zip(residuals, scales))])
     detail = "relative interior residual, margin = word length" + (f" <= {cap}" if cap < 8 else "")
     checks.append(CheckResult("normal-form oracle (200 words)", worst <= tol_nf,
@@ -315,11 +316,7 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
                               None, 0.0 if counts_ok else 1.0))
 
     tol_overlap = cfg.tol("overlap")
-    worst = 0.0
-    for (l2, j2, k2) in labels:
-        tvec = gns.t_matrix(gns.HalfInt(l2), gns.HalfInt(j2), gns.HalfInt(k2), qp)
-        overlap = abs(gns.sector_pair(tvec, basis.entries[(l2, j2, k2)], qp))
-        worst = max(worst, 1.0 - overlap)
+    worst = gns.matrix_coefficient_defect(basis)
     checks.append(CheckResult("matrix coefficients match Gram-Schmidt", worst <= tol_overlap,
                               "1 - |overlap|, node pairing", tol_overlap, worst))
     return checks

@@ -31,20 +31,23 @@ Stieltjes), orthonormal to rounding at every depth, and `GNSBasis` is its
 output array: vectors[depth, sector, node].  Labels (l, j, k) attach to
 sectors through c1 = -(j+k), c2 = k - j, with l - max(|j|, |k|) counting
 depth inside the sector, so every entry lives in its label's sector by
-construction; the meter and the operator layer read the sector blocks of
-that array.  The orthogonal polynomials are little q-Jacobi polynomials in
-base q^2 with parameters a = q^(2|c2|), b = q^(2|c1|) and, on the c1 > 0
-branch, the argument rescaled by q^(-2 c1) (a*^k a^k = prod (1 - q^(-2i) x)
-kills the first k nodes).  Their closed-form series gives the x-coefficients
-of the basis, built only when its entries are read, and of `t_matrix`
-(printing, parity and algebra checks; they cancel in deep sectors);
-`t_matrix`'s node vectors come from a terminating 3phi1 transformation that
-does not cancel at small q.
+construction; the meter, the operator layer and the parity and
+matrix-coefficient checks read the sector blocks of that array.  The
+orthogonal polynomials are little q-Jacobi polynomials in base q^2 with
+parameters a = q^(2|c2|), b = q^(2|c1|) and, on the c1 > 0 branch, the
+argument rescaled by q^(-2 c1) (a*^k a^k = prod (1 - q^(-2i) x) kills the
+first k nodes).  Their closed-form series gives the x-coefficients of the
+basis, built per label when its entry is read, and of `t_matrix` (printing
+and algebra checks; they cancel in deep sectors).  The matrix
+coefficients' node vectors come from a terminating 3phi1 transformation
+that does not cancel at small q, evaluated for all sectors of one depth at
+once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -59,7 +62,7 @@ from . import rep as _rep
 __all__ = [
     "HalfInt", "halfint", "GNSVector", "GNSBasis", "GramSingularError",
     "haar_exact", "haar_numeric", "gns_inner", "action_weights",
-    "little_jacobi", "gram_schmidt_basis", "t_matrix",
+    "little_jacobi", "gram_schmidt_basis", "t_matrix", "matrix_coefficient_defect",
     "sector_of_label", "label_of_sector", "sector_labels",
 ]
 
@@ -168,19 +171,21 @@ def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec, qp: QParam | None = No
 
     Independent of `haar_exact`: goes through the representation.  Only a
     charge-(0, 0) monomial has diagonal entries, its Fock weight f(n) at
-    (n, 0) when z = 0 lies in its z interval (`rep._word_shifts`), added
-    per Fock level in the order of the monomials as pushing the unit columns
-    (n, 0) through `rep.apply_poly_to_columns` does.  Agreement with
-    `haar_exact` is up to the geometric tail q^(2 fock_dim) plus edge effects.
+    (n, 0) when z = 0 lies in its z interval (`rep._word_shifts`, one call
+    for all of them), added per Fock level in the order of the monomials as
+    pushing the unit columns (n, 0) through `rep.apply_poly_to_columns`
+    does.  Agreement with `haar_exact` is up to the geometric tail
+    q^(2 fock_dim) plus edge effects.
     """
     qp = qp or x.qp
     _require_deformed(qp)
     q = qp.q
     diagonal = np.zeros(t.fock_dim, dtype=complex)
-    for mon, c in x.terms.items():
-        if mon.charges == (0, 0):
-            _, _, (f,), (lo,), (hi,) = _rep._word_shifts([mon.letters()], t, qp)
-            diagonal += c * f if lo <= t.z_band < hi else 0.0
+    terms = [(mon, c) for mon, c in x.terms.items() if mon.charges == (0, 0)]
+    if terms:
+        _, _, f, lo, hi = _rep._word_shifts([mon.letters() for mon, _ in terms], t, qp)
+        for (_, c), f_m, lo_m, hi_m in zip(terms, f, lo, hi):
+            diagonal += c * f_m if lo_m <= t.z_band < hi_m else 0.0
     total = 0.0 + 0.0j
     for n in range(t.fock_dim):
         total += q ** (2 * n) * diagonal[n]
@@ -219,17 +224,20 @@ def _jacobi_coefficients(n: int, a: float, b: float, qsq: float):
         yield num1 * num2 / (den1 * den2) * qsq ** k
 
 
-def _transformed_coefficients(n: int, a: float, b: float, qsq: float):
+def _transformed_coefficients(n: int, a: np.ndarray, b: np.ndarray, qsq: float):
     """The factors r_j, j = 1..n, with which the terms of the 3phi1 in
-    `_little_jacobi_at` grow: term_j = term_(j-1) r_j (1 - qsq^(k + 1 - j))."""
+    `_little_jacobi_at` grow: term_j = term_(j-1) r_j (1 - qsq^(k + 1 - j)),
+    one entry per entry of the parameter arrays a and b."""
     for j in range(1, n + 1):
         yield ((1.0 - qsq ** (j - 1 - n)) * (1.0 - a * b * qsq ** (n + j))
                / ((1.0 - b * qsq ** j) * (1.0 - qsq ** j) * a))
 
 
-def _little_jacobi_at(n: int, a: float, b: float, qsq: float, x: np.ndarray) -> np.ndarray:
+def _little_jacobi_at(n: int, a: np.ndarray, b: np.ndarray, qsq: float,
+                      x: np.ndarray) -> np.ndarray:
     """p_n(y; a, b | qsq) at the nodes y = x_k = qsq^k, k = 0 .. len(x) - 1
-    (x_0 = 1 exactly), by the terminating transformation
+    (x_0 = 1 exactly), one row per entry of the parameter arrays a and b,
+    by the terminating transformation
 
         p_n(y) = (b Q; Q)_n / (a Q; Q)_n (-a)^n Q^(n (n+1) / 2)
                  3phi1(Q^-n, a b Q^(n+1), 1/y; b Q; Q, y / a),    Q = qsq.
@@ -238,16 +246,17 @@ def _little_jacobi_at(n: int, a: float, b: float, qsq: float, x: np.ndarray) -> 
     terms grow fast at small q, so the last one dominates: where the
     defining 2phi1 and the three-term recurrence cancel (the first nodes,
     where p_n nearly vanishes), this sum does not."""
-    term = np.ones(len(x))
-    total = np.ones(len(x))
+    term = np.ones((len(a), len(x)))
+    total = np.ones((len(a), len(x)))
     for j, r in enumerate(_transformed_coefficients(n, a, b, qsq), start=1):
         # term j carries 1 - x_(k+1-j); below k = j - 1 it is already 0
-        term[j - 1:] *= r * (1.0 - x[:len(x) - j + 1])
+        term[:, j - 1:] *= r[:, None] * (1.0 - x[:len(x) - j + 1])
         total += term
-    prefactor = (-a) ** n * qsq ** (n * (n + 1) // 2)
+    # (-a)^n by Python's float power: numpy's array power can differ in the last bit
+    prefactor = np.array([(-v) ** n for v in a.tolist()]) * qsq ** (n * (n + 1) // 2)
     for i in range(1, n + 1):
         prefactor *= (1.0 - b * qsq ** i) / (1.0 - a * qsq ** i)
-    return prefactor * total
+    return prefactor[:, None] * total
 
 
 def little_jacobi(n: int, a: float, b: float, qsq: float, x: NCPolynomial) -> NCPolynomial:
@@ -464,6 +473,11 @@ class GNSBasis:
         return self._layout[0]
 
     @property
+    def label_depth(self) -> np.ndarray:
+        """Per sorted label, its depth in its sector."""
+        return self._layout[1]
+
+    @property
     def label_sector(self) -> np.ndarray:
         """Per sorted label, the index of its sector."""
         return self._layout[2]
@@ -496,20 +510,18 @@ class GNSBasis:
         return MappingProxyType(dict(zip(self._labels, self.depth_norms[depth, sector].tolist())))
 
     @cached_property
-    def entries(self) -> MappingProxyType:
+    def _slots(self) -> dict[tuple[int, int, int], tuple[int, int]]:
+        """Per sorted label, its (depth, sector index)."""
+        return dict(zip(self._labels, zip(self.label_depth.tolist(), self.label_sector.tolist())))
+
+    @cached_property
+    def entries(self) -> "_Entries":
         """Per label, its GNSVector: the node vector, and as x-coefficients the
         closed-form series with leading coefficient 1 / norm > 0 (real parts
-        only, so every imaginary part stays +0.0).  Built on first read, for
-        printing, parity and algebra products."""
-        _, depth, sector = self._layout
-        out = {}
-        for key, d, i in zip(self._labels, depth.tolist(), sector.tolist()):
-            c1, c2 = self.sectors[i]
-            series = _matrix_coefficient_series(c1, c2, d, self.qp).terms
-            scale = 1.0 / (series[_sector_base_monomial(c1, c2, d)].real * self.depth_norms[d, i])
-            poly = NCPolynomial(self.qp, {m: c.real * scale for m, c in series.items()})
-            out[key] = GNSVector(poly, {(c1, c2): self.vectors[d, i]})
-        return MappingProxyType(out)
+        only, so every imaginary part stays +0.0).  A read-only mapping that
+        builds each label's entry on its first read, for printing and
+        algebra products."""
+        return _Entries(self)
 
     def vector(self, l, j, k) -> GNSVector:
         return self.entries[(halfint(l).twice, halfint(j).twice, halfint(k).twice)]
@@ -524,6 +536,36 @@ class GNSBasis:
                 for (l2, j2, k2) in self.labels()
             ],
         }
+
+
+class _Entries(Mapping):
+    """`GNSBasis.entries`.  It holds the basis's fields, not the basis, so
+    that no reference cycle keeps a dropped basis alive."""
+
+    def __init__(self, basis: GNSBasis):
+        self._qp, self._sectors, self._slots = basis.qp, basis.sectors, basis._slots
+        self._vectors, self._depth_norms = basis.vectors, basis.depth_norms
+        self._built: dict[tuple[int, int, int], GNSVector] = {}
+
+    def __getitem__(self, key) -> GNSVector:
+        if key not in self._built:
+            d, i = self._slots[key]
+            c1, c2 = self._sectors[i]
+            series = _matrix_coefficient_series(c1, c2, d, self._qp).terms
+            lead = series[_sector_base_monomial(c1, c2, d)].real
+            scale = 1.0 / (lead * self._depth_norms[d, i])
+            poly = NCPolynomial(self._qp, {m: c.real * scale for m, c in series.items()})
+            self._built[key] = GNSVector(poly, {(c1, c2): self._vectors[d, i]})
+        return self._built[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._slots
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
 
 
 def _phase(p: NCPolynomial) -> complex:
@@ -608,6 +650,21 @@ def _matrix_coefficient_series(c1: int, c2: int, depth: int, qp: QParam) -> NCPo
     return NCPolynomial(qp, {_sector_base_monomial(c1, c2, t): c for t, c in enumerate(coeffs)})
 
 
+def _matrix_coefficient_nodes(sectors, depth: int, q: float) -> np.ndarray:
+    """Node vectors, one row per sector (c1, c2), of the base monomial times
+    p_depth(x'), unnormalized: `_little_jacobi_at` on all sectors at once.
+    A sector's weights vanish below node c1 > 0, and at node n >= c1 the
+    rescaled argument is q^(2 (n - c1)), the grid's node n - c1."""
+    x = _grid(q)
+    a = np.array([q ** (2 * abs(c2)) for _, c2 in sectors])
+    b = np.array([q ** (2 * abs(c1)) for c1, _ in sectors])
+    p = _little_jacobi_at(depth, a, b, q * q, x)
+    source = np.arange(len(x)) - np.maximum([c1 for c1, _ in sectors], 0)[:, None]
+    weights = np.array([_sector_weights(c1, c2, q) for c1, c2 in sectors])
+    return np.where(source >= 0,
+                    weights * np.take_along_axis(p, np.maximum(source, 0), axis=1), 0.0)
+
+
 def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     """Normalized matrix coefficient t^(l)_{jk} as an algebra element.
 
@@ -639,18 +696,11 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     c1, c2 = sector_of_label(j2, k2)
     depth = (l2 - max(abs(j2), abs(k2))) // 2
     q = qp.q
-    a, b = q ** (2 * abs(c2)), q ** (2 * abs(c1))
     vec = _matrix_coefficient_series(c1, c2, depth, qp)
     if 2 * vec.degree() > qp.max_degree:
         raise DegreeOverflowError(
             f"pairing degree {2 * vec.degree()} exceeds cap {qp.max_degree}")
-    # the sector's weights vanish below node c1 > 0, and at node n >= c1 the
-    # rescaled argument is q^(2 (n - c1)), the grid's node n - c1
-    x = _grid(q)
-    start = max(c1, 0)
-    nodes = np.zeros(len(x))
-    nodes[start:] = (_sector_weights(c1, c2, q)[start:]
-                     * _little_jacobi_at(depth, a, b, q * q, x[:len(x) - start]))
+    nodes = _matrix_coefficient_nodes([(c1, c2)], depth, q)[0]
     norm_sq = (1.0 - q * q) * float(np.dot(nodes, nodes))
     if not norm_sq > 0.0:
         raise GramSingularError(
@@ -665,12 +715,38 @@ def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:
 
     Entries of distinct sectors pair to an exact 0, so the worst is taken
     over the sectors' Gram blocks of the node array, one batched product
-    per depth count.
+    per depth count.  A ``qp`` other than the basis's raises ValueError.
     """
+    if qp != basis.qp:
+        raise ValueError(f"the basis was built at {basis.qp}, not at {qp}")
     _require_deformed(qp)
     worst = 0.0
     for size in set(basis.depths.tolist()):
         v = np.ascontiguousarray(basis.vectors[:size, basis.depths == size].swapaxes(0, 1))
         gram = (1.0 - qp.q * qp.q) * (np.conjugate(v) @ v.transpose(0, 2, 1))
         worst = max(worst, float(np.max(np.abs(gram - np.eye(size)))))
+    return worst
+
+
+def matrix_coefficient_defect(basis: GNSBasis) -> float:
+    """Worst 1 - |<t^(l)_jk, e^(l)_jk>| over the labels of the basis.
+
+    Each label's matrix coefficient (`t_matrix`'s node vector, before its
+    normalization) is paired with the basis vector at its sector and depth,
+    all sectors of one depth at once, so no x-coefficients are built.  A
+    self-pairing that is not positive raises GramSingularError.
+    """
+    q = basis.qp.q
+    measure = 1.0 - q * q
+    worst = 0.0
+    for depth in range(len(basis.vectors)):
+        rows = np.flatnonzero(basis.depths > depth)
+        t = _matrix_coefficient_nodes([basis.sectors[i] for i in rows], depth, q)
+        norm_sq = measure * (t * t).sum(axis=1)
+        for i in np.flatnonzero(~(norm_sq > 0.0)):
+            raise GramSingularError(
+                f"sector {basis.sectors[rows[i]]} depth {depth}: self-pairing "
+                f"{norm_sq[i]:.3e} of the matrix coefficient is not positive")
+        overlap = np.abs(measure * (t * basis.vectors[depth, rows]).sum(axis=1))
+        worst = max(worst, float(np.max(1.0 - overlap / np.sqrt(norm_sq))))
     return worst

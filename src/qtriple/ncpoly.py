@@ -36,6 +36,7 @@ independently.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,21 +89,23 @@ class QParam:
             raise ValueError("max_degree must be positive")
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalMonomial:
+class CanonicalMonomial(namedtuple("CanonicalMonomial", "alpha beta beta_star")):
     """One basis element a^k b^n b*^m (alpha > 0) or a*^|k| b^n b*^m (alpha < 0).
 
     ``alpha`` is the signed alpha exponent, ``beta``/``beta_star`` the
-    nonnegative b and b* exponents.
+    nonnegative b and b* exponents.  A monomial is the tuple of its three
+    exponents (equal to it, with its hash and its order), so dict probes in
+    the product loops run in C.  The product, the involution and the split
+    of a word into runs build their already valid monomials with
+    ``tuple.__new__``, past this constructor's check.
     """
 
-    alpha: int
-    beta: int
-    beta_star: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.beta < 0 or self.beta_star < 0:
+    def __new__(cls, alpha: int, beta: int, beta_star: int):
+        if beta < 0 or beta_star < 0:
             raise ValueError("beta exponents must be nonnegative")
+        return tuple.__new__(cls, (alpha, beta, beta_star))
 
     @property
     def degree(self) -> int:
@@ -139,6 +142,9 @@ class CanonicalMonomial:
 
 UNIT_MONOMIAL = CanonicalMonomial(0, 0, 0)
 
+# builds a monomial from exponents known to be valid, without the check
+_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class Word:
@@ -169,12 +175,9 @@ class NCPolynomial:
     __slots__ = ("qp", "terms")
 
     def __init__(self, qp: QParam, terms=None):
-        pruned = {}
-        if terms:
-            for mon, c in terms.items():
-                c = complex(c)
-                if abs(c) > qp.prune:
-                    pruned[mon] = c
+        prune = qp.prune
+        pruned = {mon: c for mon, c in zip(terms, map(complex, terms.values()))
+                  if abs(c) > prune} if terms else {}
         object.__setattr__(self, "qp", qp)
         object.__setattr__(self, "terms", pruned)
 
@@ -338,16 +341,16 @@ def _monomial_product(q: float, m1: CanonicalMonomial, m2: CanonicalMonomial):
     in x, and an alpha remainder right of that polynomial moves left past
     x^t.  Nothing is pruned here; callers decide.
     """
-    k1, k2 = m1.alpha, m2.alpha
+    k1, n1, s1 = m1
+    k2, n2, s2 = m2
     k = k1 + k2
-    beta, beta_star = m1.beta + m2.beta, m1.beta_star + m2.beta_star
-    passing = -(m1.beta + m1.beta_star) * k2
+    beta, beta_star = n1 + n2, s1 + s2
+    passing = -(n1 + s1) * k2
     if k1 * k2 >= 0:
-        contraction, remainder_right = (1.0,), False
-    else:
-        contraction = _contraction(q, min(abs(k1), abs(k2)), k1 > 0)
-        remainder_right = abs(k2) > abs(k1)
-    return [(CanonicalMonomial(k, beta + t, beta_star + t),
+        return [(_new(CanonicalMonomial, (k, beta, beta_star)), _qpow(q, passing))]
+    contraction = _contraction(q, min(abs(k1), abs(k2)), k1 > 0)
+    remainder_right = abs(k2) > abs(k1)
+    return [(_new(CanonicalMonomial, (k, beta + t, beta_star + t)),
              p * _qpow(q, passing - 2 * t * k if remainder_right else passing))
             for t, p in enumerate(contraction)]
 
@@ -361,13 +364,12 @@ def mul(x: NCPolynomial, y: NCPolynomial) -> NCPolynomial:
     if x.qp != y.qp:
         raise ValueError("mixed deformation parameters")
     qp = x.qp
+    degree = x.degree() + y.degree()
+    if x.terms and y.terms and degree > qp.max_degree:
+        raise DegreeOverflowError(f"product degree {degree} exceeds cap {qp.max_degree}")
     acc: dict[CanonicalMonomial, complex] = {}
     for m1, c1 in x.terms.items():
-        d1 = m1.degree
         for m2, c2 in y.terms.items():
-            if d1 + m2.degree > qp.max_degree:
-                raise DegreeOverflowError(
-                    f"product degree {d1 + m2.degree} exceeds cap {qp.max_degree}")
             scale = c1 * c2
             for mon, c in _monomial_product(qp.q, m1, m2):
                 acc[mon] = acc.get(mon, 0.0) + scale * c
@@ -394,9 +396,9 @@ def _canonical_runs(letters: tuple[int, ...]) -> list[CanonicalMonomial]:
                 k += sign
                 continue
             step = (sign, 0, 0)
-        runs.append(CanonicalMonomial(k, n, m))
+        runs.append(_new(CanonicalMonomial, (k, n, m)))
         k, n, m = step
-    runs.append(CanonicalMonomial(k, n, m))
+    runs.append(_new(CanonicalMonomial, (k, n, m)))
     return runs
 
 
@@ -436,7 +438,7 @@ def adjoint(x: NCPolynomial) -> NCPolynomial:
     for m, c in x.terms.items():
         w = _qpow(qp.q, (m.beta + m.beta_star) * m.alpha)
         if w > qp.prune:
-            acc[CanonicalMonomial(-m.alpha, m.beta_star, m.beta)] = c.conjugate() * w
+            acc[_new(CanonicalMonomial, (-m.alpha, m.beta_star, m.beta))] = c.conjugate() * w
     return NCPolynomial(qp, acc)
 
 

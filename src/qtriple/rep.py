@@ -308,7 +308,7 @@ def edge_defect(t: TruncationSpec, qp: QParam) -> float:
     return _residual_bounds([(_relation_terms(qp.q)[RELATION_NAMES[1]], 0)], t, qp)[0]
 
 
-def normal_form_residual(words, t: TruncationSpec, qp: QParam) -> list[float]:
+def normal_form_residual(words, t: TruncationSpec, qp: QParam, forms=None) -> list[float]:
     """Interior residual between each word's matrix and its normal form's matrix.
 
     The margin equals the word length (capped at the window's largest legal
@@ -317,11 +317,14 @@ def normal_form_residual(words, t: TruncationSpec, qp: QParam) -> list[float]:
     the edges.  A sound normal form shares the word's sector, so the residual
     is a weighted partial permutation and `norm_bound` is its norm; a term of
     the normal form in another sector is a second displacement, at full size.
+    ``forms``, when given, are the words' normal forms, already computed.
     """
+    if forms is None:
+        forms = [normalize(word, qp) for word in words]
     residuals = []
-    for word in words:
+    for word, form in zip(words, forms, strict=True):
         terms = [(word.coefficient, word.letters)]
-        terms += [(-c, mon.letters()) for mon, c in normalize(word, qp).terms.items()]
+        terms += [(-c, mon.letters()) for mon, c in form.terms.items()]
         residuals.append((terms, min(len(word.letters), t.fock_dim - 1, t.z_band)))
     return _residual_bounds(residuals, t, qp)
 

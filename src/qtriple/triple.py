@@ -27,7 +27,8 @@ from .ncpoly import (
     z2_act, z2_project,
 )
 from .gns import (
-    GNSBasis, HalfInt, action_weights, gns_inner, gram_schmidt_basis, halfint,
+    GNSBasis, HalfInt, _sector_base_monomial, action_weights, gns_inner, gram_schmidt_basis,
+    halfint,
 )
 from .report import CheckResult, all_passed
 
@@ -73,12 +74,20 @@ def dirac_labels(lmax2: int) -> list[tuple[int, int, int]]:
 
 
 def check_parity(basis: GNSBasis) -> list[CheckResult]:
-    """Assert g e^(l)_{jk} = (-1)^(2l) e^(l)_{jk} coefficientwise, per label."""
+    """Assert g e^(l)_{jk} = (-1)^(2l) e^(l)_{jk} on the node array, per label.
+
+    An entry of sector (c1, c2) is its base monomial times a polynomial in
+    x = b b*, which g fixes, so g scales the sector's node vectors by the
+    coefficient `z2_act` gives its base monomial.  The defect is
+    max |g e - (-1)^(2l) e| over the entry's nodes.
+    """
+    bases = [_sector_base_monomial(c1, c2, 0) for c1, c2 in basis.sectors]
+    flipped = z2_act(NCPolynomial(basis.qp, dict.fromkeys(bases, 1.0)))
+    sign = np.array([flipped.coeff(m).real for m in bases])[basis.label_sector]
+    expected = np.where(basis.label_array[:, 0] % 2, -1.0, 1.0)
+    size = np.abs(basis.vectors).max(axis=2)[basis.label_depth, basis.label_sector]
     out = []
-    for (l2, j2, k2) in basis.labels():
-        poly = basis.entries[(l2, j2, k2)].poly
-        expected = poly if l2 % 2 == 0 else -poly
-        defect = z2_act(poly).max_coeff_diff(expected)
+    for (l2, j2, k2), defect in zip(basis.labels(), (np.abs(sign - expected) * size).tolist()):
         out.append(CheckResult(
             name=f"parity l2={l2} j2={j2} k2={k2}",
             passed=defect == 0.0,

@@ -9,9 +9,12 @@ loses digits with depth), the matrix coefficient through `little_jacobi` on
 an algebra element, one `gns_inner` call per entry of pi on the expanded
 product, and unit columns pushed through the letter-by-letter grids of
 `word_grid`, and the orthonormality meter on the dense Gram of all
-entries.  The unnormalized matrix coefficient, the Haar sum and the weight
-grids perform the float operations of the production routes in the same
-order, so they must agree bitwise; the others agree to a tolerance.
+entries.  Two routes take one item at a time where production batches: the
+Haar sum with one weighted shift per monomial, and the matrix-coefficient
+overlap with one `t_matrix` and one `sector_pair` per label.  The unnormalized
+matrix coefficient, the Haar sums and the weight grids perform the float
+operations of the production routes in the same order, so they must agree
+bitwise; the others agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import math
 
 import numpy as np
 
-from qtriple import rep
+from qtriple import gns, rep
 from qtriple.gns import (
-    GNSVector, _phase, _sector_base_monomial, gns_inner, halfint, little_jacobi,
+    GNSVector, HalfInt, _phase, _sector_base_monomial, gns_inner, halfint, little_jacobi,
     sector_labels, sector_moment, sector_of_label, sector_pair,
 )
 from qtriple.ncpoly import (
@@ -175,3 +178,28 @@ def haar_numeric(x: NCPolynomial, t: rep.TruncationSpec) -> complex:
     for n in range(t.fock_dim):
         total += q ** (2 * n) * image[t.index(n, 0), n]
     return complex((1.0 - q * q) * total)
+
+
+def haar_numeric_per_monomial(x: NCPolynomial, t: rep.TruncationSpec) -> complex:
+    """`gns.haar_numeric` with one `rep._word_shifts` call per charge-(0, 0)
+    monomial, summed per Fock level in the order of the monomials."""
+    q = x.qp.q
+    diagonal = np.zeros(t.fock_dim, dtype=complex)
+    for mon, c in x.terms.items():
+        if mon.charges == (0, 0):
+            _, _, (f,), (lo,), (hi,) = rep._word_shifts([mon.letters()], t, x.qp)
+            diagonal += c * f if lo <= t.z_band < hi else 0.0
+    total = 0.0 + 0.0j
+    for n in range(t.fock_dim):
+        total += q ** (2 * n) * diagonal[n]
+    return complex((1.0 - q * q) * total)
+
+
+def matrix_coefficient_defect(basis) -> float:
+    """Worst 1 - |<t^(l)_jk, e^(l)_jk>| over the labels, one `gns.t_matrix` and
+    one `sector_pair` with the label's entry each."""
+    worst = 0.0
+    for (l2, j2, k2) in basis.labels():
+        tvec = gns.t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), basis.qp)
+        worst = max(worst, 1.0 - abs(sector_pair(tvec, basis.entries[(l2, j2, k2)], basis.qp)))
+    return worst

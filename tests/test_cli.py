@@ -193,9 +193,10 @@ class TestVerify:
 
     def test_normal_form_oracle_catches_a_foreign_sector_term(self, capsys, monkeypatch):
         # 1e-6 b added to every normal form, foreign to every word outside
-        # b's sector: relative to the normal forms' coefficients it stays 1e-6
-        exact = rep.normalize
-        monkeypatch.setattr(rep, "normalize", lambda word, qp: exact(word, qp)
+        # b's sector: relative to the normal forms' coefficients it stays 1e-6;
+        # the suite normalizes each word once and hands the forms to the oracle
+        exact = cli.normalize
+        monkeypatch.setattr(cli, "normalize", lambda word, qp: exact(word, qp)
                             + 1e-6 * ncpoly.NCPolynomial.generator(qp, ncpoly.BETA))
         code, out, _ = run(capsys, "verify", "relations")
         assert code == 1

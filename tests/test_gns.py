@@ -162,6 +162,21 @@ class TestHaarNumeric:
             x = random_polynomial(rng, qp, max_degree=6, n_terms=6)
             assert haar_numeric(x, t) == routes.haar_numeric(x, t)
 
+    @pytest.mark.parametrize("z_band", [2, 8])
+    def test_one_shift_batch_equals_the_per_monomial_route(self, qp, z_band):
+        # the charge-(0, 0) words x^n have different lengths, so the batch
+        # pads the shorter ones; at z_band 2 the words x^n, n > 2, leave the
+        # z window and add nothing
+        t = TruncationSpec(24, z_band)
+        rng = random.Random(11)
+        for _ in range(10):
+            terms = {CanonicalMonomial(0, n, n): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                     for n in rng.sample(range(6), 4)}
+            terms[CanonicalMonomial(1, 0, 2)] = 0.5
+            x = NCPolynomial(qp, terms)
+            assert haar_numeric(x, t) == routes.haar_numeric_per_monomial(x, t)
+            assert haar_numeric(x, t) == routes.haar_numeric(x, t)
+
     def test_wrong_b_weight_fails_exactly_the_haar_check(self, monkeypatch):
         # q^2 in place of q at Fock level 1: of the `verify gns` checks only
         # "haar exact vs numeric" goes through the representation
@@ -432,6 +447,8 @@ class TestGramSchmidt:
         assert np.any(triple.pi_matrix(x, basis))
         assert np.any(triple.commutator_matrix(x, basis, triple.DiracSpec(HalfInt(6))))
         assert triple.commutator_norm_scan(x, qp, [4, 5, 6])[-1] > 0.0
+        assert all(r.passed for r in triple.check_parity(basis))
+        assert gns.matrix_coefficient_defect(basis) <= 1e-15
         monkeypatch.undo()
         for (c1, c2), labels in sector_labels(6):
             i = basis.sectors.index((c1, c2))
@@ -441,6 +458,23 @@ class TestGramSchmidt:
                 scale = 1.0 / (lead * basis.depth_norms[depth, i])
                 want = NCPolynomial(qp, {m: c.real * scale for m, c in series.items()})
                 assert same_bits(basis.entries[key].poly, want), key
+
+    def test_entries_are_built_per_label(self, monkeypatch, qp):
+        # a fresh basis over the memoized arrays: each read builds one
+        # label's series, once; the mapping lists every label in order
+        calls = []
+        true_series = gns._matrix_coefficient_series
+        monkeypatch.setattr(gns, "_matrix_coefficient_series",
+                            lambda *args: calls.append(args) or true_series(*args))
+        top = gram_schmidt_basis(4, qp)
+        basis = GNSBasis(qp, top.sectors, top.vectors, top.depth_norms)
+        assert list(basis.entries) == basis.labels() and len(basis.entries) == 55
+        entry = basis.entries[(3, 1, -1)]
+        assert basis.entries[(3, 1, -1)] is entry and calls == [(0, -1, 1, qp)]
+        assert (3, -1, 1) in basis.entries and (5, 1, 1) not in basis.entries
+        with pytest.raises(KeyError):
+            basis.entries[(5, 1, 1)]
+        assert len(calls) == 1
 
     def test_basis_memo_is_bounded(self):
         # near q = 1 a basis is large (120 MB at q = 0.999), so the memo
@@ -494,6 +528,12 @@ class TestGramSchmidt:
         vectors[1, sector] += 1e-6 * vectors[0, sector]
         spoiled = GNSBasis(qp, basis.sectors, vectors, basis.depth_norms)
         assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(1e-6, rel=1e-9)
+
+    def test_orthonormality_defect_refuses_another_q(self):
+        # the measure 1 - q^2 is the basis's: q = 0.3 would read 0.2133 here
+        basis = gram_schmidt_basis(4, QParam(0.5))
+        with pytest.raises(ValueError, match="built at"):
+            basis_orthonormality_defect(basis, QParam(0.3))
 
     def test_orthonormality_defect_sees_a_perturbed_node_vector(self, qp):
         # e^(1)_00 gains 1e-6 of the unit entry, in a copy of the node array
@@ -611,6 +651,15 @@ class TestMatrixCoefficients:
             tv = t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp_any)
             overlap = abs(expanded_inner(tv, basis.entries[(l2, j2, k2)]))
             assert overlap >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.9])
+    def test_batched_overlap_matches_the_per_label_route(self, q):
+        # all sectors of one depth at once against one t_matrix and one
+        # sector_pair per label; both at roundoff
+        basis = gram_schmidt_basis(8, QParam(q))
+        got = gns.matrix_coefficient_defect(basis)
+        assert got <= 1e-15
+        assert abs(got - routes.matrix_coefficient_defect(basis)) <= 1e-15
 
     def test_deep_sector_overlap_via_stable_pairing(self, qp_any):
         # to l = 3 the expanded engine pairing cancels catastrophically in

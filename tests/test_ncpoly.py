@@ -504,6 +504,21 @@ class TestPolynomialBasics:
         back = NCPolynomial.from_json_dict(data, qp)
         assert back == x
 
+    def test_monomial_is_the_tuple_of_its_exponents(self, qp):
+        m = CanonicalMonomial(-2, 1, 3)
+        assert m == (-2, 1, 3) and hash(m) == hash((-2, 1, 3))
+        assert (m.alpha, m.beta, m.beta_star) == tuple(m) and str(m) == "a*^2 b b*^3"
+        assert sorted([CanonicalMonomial(1, 0, 0), CanonicalMonomial(-1, 2, 0),
+                       CanonicalMonomial(-1, 0, 2)]) == [(-1, 0, 2), (-1, 2, 0), (1, 0, 0)]
+        for bad in ((0, -1, 0), (2, 0, -3)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                CanonicalMonomial(*bad)
+        with pytest.raises(AttributeError):
+            m.alpha = 1
+        # the products build their monomials past the constructor's check
+        word = Word((BETA_STAR, ALPHA, BETA, ALPHA_STAR, ALPHA_STAR))
+        assert all(type(mon) is CanonicalMonomial for mon in normalize(word, qp).terms)
+
     def test_monomial_bookkeeping(self):
         m = CanonicalMonomial(-2, 1, 3)
         assert m.degree == 6

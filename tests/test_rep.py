@@ -236,6 +236,19 @@ class TestNormalFormOracle:
             mu = min(len(w.letters), min(t.fock_dim - 1, t.z_band))
             assert abs(got - column_block_residual(terms, t, qp, mu)) <= 1e-15
 
+    def test_given_normal_forms_are_used_as_they_are(self, qp):
+        # the forms a caller already has give the residuals bit for bit;
+        # a form that is not the word's is measured as given
+        t = TruncationSpec(16, 8, 2)
+        rng = random.Random(3)
+        words = [random_word(rng, max_len=8, with_coefficient=True) for _ in range(40)]
+        forms = [rep.normalize(w, qp) for w in words]
+        assert normal_form_residual(words, t, qp, forms) == normal_form_residual(words, t, qp)
+        forms[7] = forms[7] + 1e-6 * NCPolynomial.generator(qp, BETA)
+        assert max(normal_form_residual(words, t, qp, forms)) >= 0.999e-6
+        with pytest.raises(ValueError):
+            normal_form_residual(words, t, qp, forms[:-1])
+
     def test_foreign_sector_term_fails(self, monkeypatch, qp):
         t = TruncationSpec(16, 8, 2)
         rng = random.Random(0)

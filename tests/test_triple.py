@@ -1,4 +1,7 @@
+import contextlib
 import functools
+import io
+import json
 import random
 
 import numpy as np
@@ -11,7 +14,7 @@ from qtriple.ncpoly import (
     CanonicalMonomial, NCPolynomial, QParam,
     monomials_up_to, random_polynomial, z2_act,
 )
-from qtriple import triple
+from qtriple import cli, gns, triple
 from qtriple.gns import HalfInt, gram_schmidt_basis, sector_of_label
 from qtriple.triple import (
     DiracSpec, aggregate_spectrum, assemble_unoriented_triple,
@@ -19,6 +22,14 @@ from qtriple.triple import (
     dirac_labels, hilbert_module_product, pi_matrix,
     spectrum_rows, summability_scan,
 )
+
+
+def run_verify(suite, *argv):
+    """(exit code, report) of `qtriple verify <suite>`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", suite, *argv])
+    return code, json.loads(out.getvalue())
 
 
 class TestDirac:
@@ -60,6 +71,42 @@ class TestParity:
         assert len(results) == sum((l2 + 1) ** 2 for l2 in range(6))
         assert all(r.passed for r in results)
         assert all(r.value == 0.0 for r in results)
+
+    @pytest.mark.parametrize("flip", ["negated", "b letters only"])
+    def test_verify_parity_catches_a_wrong_sign_flip(self, monkeypatch, flip):
+        # g's sign comes from z2_act on each sector's base monomial: negated
+        # everywhere, every label fails; counting only the b letters, the
+        # labels of sectors with odd alpha exponent c1 = -(j + k) fail
+        def wrong(x):
+            if flip == "negated":
+                return -z2_act(x)
+            return NCPolynomial(x.qp, {m: c if (m.beta + m.beta_star) % 2 == 0 else -c
+                                       for m, c in x.terms.items()})
+
+        assert run_verify("parity", "--q", "0.5", "--lmax2", "5")[0] == 0
+        monkeypatch.setattr(triple, "z2_act", wrong)
+        code, report = run_verify("parity", "--q", "0.5", "--lmax2", "5")
+        failing = {c["name"] for c in report["checks"] if not c["pass"]}
+        labels = [(l2, j2, k2) for l2 in range(6) for j2 in range(-l2, l2 + 1, 2)
+                  for k2 in range(-l2, l2 + 1, 2)]
+        odd_c1 = [lab for lab in labels if (lab[1] + lab[2]) // 2 % 2]
+        assert code == 1 and odd_c1
+        assert failing == {f"parity l2={l2} j2={j2} k2={k2}"
+                           for (l2, j2, k2) in (labels if flip == "negated" else odd_c1)}
+
+    def test_checks_on_the_node_array_build_no_x_coefficients(self, monkeypatch):
+        # verify gns and verify parity read the node array alone; verify
+        # triple builds the entries of its 20 random even-subspace labels
+        calls = []
+        true_series = gns._matrix_coefficient_series
+        monkeypatch.setattr(gns, "_matrix_coefficient_series",
+                            lambda *args: calls.append(args) or true_series(*args))
+        gram_schmidt_basis.cache_clear()
+        for suite, most in (("gns", 0), ("parity", 0), ("triple", 20)):
+            calls.clear()
+            assert run_verify(suite, "--q", "0.5", "--lmax2", "8")[0] == 0, suite
+            assert len(calls) <= most, suite
+        assert calls
 
 
 class TestCommutator:
