@@ -15,8 +15,7 @@ from .ncpoly import (
 )
 from .grammar import ParseError, parse
 from .rep import (
-    TruncationSpec, build_generators, operator_norm, relation_residuals,
-    represent,
+    TruncationSpec, operator_norm, relation_residuals, represent,
 )
 from .gns import (
     GNSBasis, GNSVector, GramSingularError, HalfInt, gns_inner,

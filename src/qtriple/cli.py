@@ -37,7 +37,7 @@ log = logging.getLogger("qtriple")
 DEFAULT_TOLERANCES = {
     "relations": 1e-12,
     "normal_form": 1e-10,
-    "haar": None,          # computed from fock_dim: 10 q^(2 N_F)
+    "haar": None,          # computed from the Haar check's window: 10 q^(2 N_F)
     "haar_series": 1e-14,
     "orthonormality": 1e-10,
     "overlap": 1e-8,
@@ -95,10 +95,15 @@ class RunConfig:
             raise ConfigError(f"the GNS basis needs lmax2 <= {gns.LMAX2_CAP}, got {lmax2}")
         return lmax2
 
+    def haar_window(self) -> rep.TruncationSpec:
+        """The Haar check's window: its degree-6 scan needs z_band >= 6."""
+        return rep.TruncationSpec(max(self.fock_dim, 24), max(self.z_band, 6))
+
     def tol(self, name: str) -> float:
         t = self.tolerances.get(name)
         if t is None and name == "haar":
-            return 10.0 * self.q ** (2 * self.fock_dim)
+            # that window's tail bound 10 q^(2 N_F), floored at machine precision
+            return max(10.0 * self.q ** (2 * self.haar_window().fock_dim), 1e-15)
         return t
 
     def echo(self) -> dict:
@@ -191,7 +196,7 @@ def cmd_gram(args, cfg: RunConfig) -> int:
     lmax2 = cfg.basis_lmax2(3)
     basis = gns.gram_schmidt_basis(lmax2, cfg.qp)
     labels = basis.labels()
-    worst = gns.basis_orthonormality_defect(basis, cfg.qp)
+    worst = gns.basis_orthonormality_defect(basis)
     data = {
         "config": cfg.echo(),
         "lmax2": lmax2,
@@ -281,10 +286,8 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
     checks = []
     qp = cfg.qp
     q = cfg.q
-    # the degree-6 scan needs z_band >= 6 to hold intermediate shifts, and
-    # the tail bound 10 q^(2 N_F) drops below double resolution for small q
-    t24 = rep.TruncationSpec(max(cfg.fock_dim, 24), max(cfg.z_band, 6))
-    tol_haar = max(10.0 * q ** (2 * t24.fock_dim), 1e-15)
+    t24 = cfg.haar_window()
+    tol_haar = cfg.tol("haar")
     worst = 0.0
     for mon in monomials_up_to(6):
         p = NCPolynomial.monomial(qp, mon)
@@ -306,7 +309,7 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
     basis = gns.gram_schmidt_basis(lmax2, qp)
     labels = basis.labels()
     tol_orth = cfg.tol("orthonormality")
-    worst = gns.basis_orthonormality_defect(basis, qp)
+    worst = gns.basis_orthonormality_defect(basis)
     checks.append(CheckResult("orthonormality", worst <= tol_orth,
                               f"lmax2 {lmax2}; Gram of the node vectors", tol_orth, worst))
 
@@ -325,11 +328,12 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
 def suite_parity(cfg: RunConfig) -> list[CheckResult]:
     lmax2 = cfg.basis_lmax2(5)
     basis = gns.gram_schmidt_basis(lmax2, cfg.qp)
-    return triple.check_parity(basis)
+    return triple.check_parity(basis, cfg.tol("parity"))
 
 
 def suite_covering(cfg: RunConfig) -> list[CheckResult]:
     checks = []
+    tol = cfg.tol("covering")
     cert = triple.certify_covering(8, cfg.qp)
     expected = sum((d + 1) ** 2 for d in range(1, 9, 2))
     checks.append(CheckResult("odd monomials decompose (deg <= 8)",
@@ -343,8 +347,8 @@ def suite_covering(cfg: RunConfig) -> list[CheckResult]:
         b = random_polynomial(rng, cfg.qp, max_degree=4, n_terms=3)
         prod = triple.hilbert_module_product(a, b)
         worst = max(worst, z2_act(prod).max_coeff_diff(prod))
-    checks.append(CheckResult("module products sign-flip fixed", worst == 0.0,
-                              "100 random pairs", 0.0, worst))
+    checks.append(CheckResult("module products sign-flip fixed", worst <= tol,
+                              "100 random pairs", tol, worst))
     return checks
 
 

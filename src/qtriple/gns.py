@@ -14,17 +14,19 @@ the vector state of pi (x) 1 at Omega = sum_n sqrt((1 - q^2) q^(2n))
 e_(n, 0) (x) f_n.  The canonical monomial m = a^k b^i b*^j sends e_(f, z)
 to W_m(f) e_(f - k, z + i - j), where W_m(f) is q^(f (i + j)) times
 prod_{r < k} sqrt(1 - q^(2(f - r))) for a^k, prod_{r = 1..|k|}
-sqrt(1 - q^(2(f + r))) for a*^|k|.  In the charge sector (c1, c2) (alpha
-exponent, beta minus beta* exponent) an element is its base monomial times
-f(x), and it sends Omega to a vector living only at (fock n - c1, z c2, n).
-So each sector is l2 over the node index n, and the element is its node
-vector g[n] = sqrt((1 - q^2) q^(2n)) W_base(n) f(x_n), x_n = q^(2n), on the
-nodes down to 1e-18 plus 16 padding nodes (a grid that depends on q only).
-Node vectors are stored without the constant sqrt(1 - q^2), which every
-pairing multiplies back as 1 - q^2.  The pairing is the node dot product
-inside each shared sector; distinct sectors are orthogonal exactly.  pi(m)
-is diagonal in n: it sends sector (c1, c2) to (c1 + k, c2 + i - j) and
-scales node n by W_m(n - c1) (`action_weights`).
+sqrt(1 - q^(2(f + r))) for a*^|k|; one batched kernel gives it for arrays
+of monomials and levels, and nothing is cached per sector.  In the charge
+sector (c1, c2) (alpha exponent, beta minus beta* exponent) a monomial
+sends Omega to a vector living only at (fock n - c1, z c2, n).  So each
+sector is l2 over the node index n, and an element p is its node vectors
+pi(p) Omega, g[n] = sqrt((1 - q^2) q^(2n)) sum_m c_m W_m(n) over its terms
+of that charge, on the nodes x_n = q^(2n) down to 1e-18 plus 16 padding
+nodes (a grid that depends on q only).  Node vectors are stored without
+the constant sqrt(1 - q^2), which every pairing multiplies back as
+1 - q^2.  The pairing is the node dot product inside each shared sector;
+distinct sectors are orthogonal exactly.  pi(m) is diagonal in n: it sends
+sector (c1, c2) to (c1 + k, c2 + i - j) and scales node n by W_m(n - c1)
+(`action_weights`, the per-charge sum that gives pi(p) Omega too).
 
 The orthonormal basis is Gram-Schmidt on node vectors (discretized
 Stieltjes), orthonormal to rounding at every depth, and `GNSBasis` is its
@@ -196,9 +198,9 @@ def gns_inner(u, v, qp: QParam | None = None) -> complex:
     """Sesquilinear pairing h(u* v); accepts GNSVector or NCPolynomial.
 
     The sum, over the charge sectors that u and v share, of the dot
-    product of their node vectors there.  Terms of different charges are
-    never multiplied and no product u* v is formed, so only an element
-    whose own coefficients cancel loses digits.
+    product of their node vectors there (no other sector's are formed).  No
+    product u* v is formed, so only an element whose own coefficients
+    cancel loses digits.
     """
     pu = u.poly if isinstance(u, GNSVector) else u
     pv = v.poly if isinstance(v, GNSVector) else v
@@ -206,7 +208,8 @@ def gns_inner(u, v, qp: QParam | None = None) -> complex:
         raise ValueError("mixed deformation parameters")
     qp = qp or pu.qp
     _require_deformed(qp)
-    return _pair(_nodes_of(u, qp.q), _nodes_of(v, qp.q), qp.q)
+    shared = _charges(u) & _charges(v)
+    return _pair(_node_form(u, qp.q, shared), _node_form(v, qp.q, shared), qp.q)
 
 
 # ---------------------------------------------------------------------------
@@ -327,47 +330,67 @@ def _grid(q: float) -> np.ndarray:
     return x
 
 
-def _level_weights(mon: CanonicalMonomial, q: float, f: np.ndarray) -> np.ndarray:
-    """W_m(f), the weight with which the monomial sends Fock level f; 0 for f < 0."""
+def _fock_weights(alpha, degree, f, q: float) -> np.ndarray:
+    """W_m(f) for the monomials m = a^k b^i b*^j with alpha exponents
+    alpha[r] = k and b degrees degree[r] = i + j, one row per r over the
+    levels f, 0 where f < 0: q^(f (i + j)), then the a^k or a*^|k| factors
+    in the order of the module docstring's products, read from one table."""
+    f = np.asarray(f)
     level = np.maximum(f, 0)
-    w = q ** (level * (mon.beta + mon.beta_star)).astype(float)
-    # levels f - r, r < k, for a^k (a zero factor kills f < k); f + r for a*^|k|
-    for shift in (range(0, -mon.alpha, -1) if mon.alpha > 0 else range(1, 1 - mon.alpha)):
-        w = w * np.sqrt(1.0 - q ** (2.0 * np.maximum(level + shift, 0)))
-    return np.where(f >= 0, w, 0.0)
+    top = max(map(abs, alpha), default=0)
+    table = np.sqrt(1.0 - q ** (2.0 * np.arange(int(level.max()) + top + 1)))
+    # the factors at levels f + s: for a^k, the clipped level 0 of f + s < 0
+    # reads the zero factor that kills f < k
+    factor = {s: table[np.maximum(level + s, 0)] for s in range(1 - top, top + 1)}
+    power = {d: q ** (level * d).astype(float) for d in set(degree)}
+    w = np.empty((len(alpha), *f.shape))
+    for w_m, k, d in zip(w, alpha, degree):
+        w_m[...] = power[d]
+        for s in (range(0, -k, -1) if k > 0 else range(1, 1 - k)):
+            w_m *= factor[s]
+    np.copyto(w, 0.0, where=f < 0)
+    return w
 
 
-# A basis at lmax2 = 8 has 145 sectors; the bound leaves room for several q.
-@lru_cache(maxsize=1024)
-def _sector_weights(c1: int, c2: int, q: float) -> np.ndarray:
-    """Node vector of the sector's base monomial, q^n W_base(n)."""
+def _base_weights(sectors, q: float) -> np.ndarray:
+    """Node vectors q^n W_base(n) of the sectors' base monomials, one row per
+    sector (c1, c2): one `_fock_weights` call."""
     n = np.arange(len(_grid(q)))
-    g = q ** n * _level_weights(_sector_base_monomial(c1, c2, 0), q, n)
-    g.setflags(write=False)
-    return g
+    return q ** n * _fock_weights([c1 for c1, _ in sectors], [abs(c2) for _, c2 in sectors], n, q)
 
 
-def _node_form(p: NCPolynomial, q: float) -> dict[tuple[int, int], np.ndarray]:
-    """The node vectors of an element per charge sector: the depth-t monomial
-    of a sector is its base monomial times x^t (b and b* commute)."""
-    x = _grid(q)
-    by_sector: dict[tuple[int, int], dict[int, complex]] = {}
-    for m, c in p.terms.items():
-        by_sector.setdefault(m.charges, {})[min(m.beta, m.beta_star)] = c
-    out = {}
-    for sector, coeffs in by_sector.items():
-        f = np.zeros(len(x), dtype=complex)
-        for t in sorted(coeffs):
-            f += coeffs[t] * x ** t
-        out[sector] = _sector_weights(*sector, q) * f
+def _charge_weights(terms: Mapping, q: float, c1, scale: float) -> dict[tuple[int, int], np.ndarray]:
+    """Per charge shift of the terms (monomial: coefficient), the sum of
+    scale c_m W_m(n - c1) over those terms, each term scaled before the sum;
+    one `_fock_weights` call."""
+    f = np.arange(len(_grid(q))) - np.asarray(c1)[..., None]
+    w = _fock_weights([m.alpha for m in terms], [m.beta + m.beta_star for m in terms], f, q)
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for (m, c), w_m in zip(terms.items(), w):
+        w_m = scale * c * w_m
+        out[m.charges] = out[m.charges] + w_m if m.charges in out else w_m
     return out
 
 
-def _nodes_of(w, q: float) -> dict[tuple[int, int], np.ndarray]:
-    """The node vectors a GNSVector carries, or else those of its element."""
+def _charges(w) -> set[tuple[int, int]]:
+    """The charge sectors of a GNSVector's node vectors, or else of its element's terms."""
+    if isinstance(w, GNSVector) and w.nodes is not None:
+        return set(w.nodes)
+    return {m.charges for m in (w.poly if isinstance(w, GNSVector) else w).terms}
+
+
+def _node_form(w, q: float, sectors) -> dict[tuple[int, int], np.ndarray]:
+    """The node vectors a GNSVector carries, or else pi(p) Omega in the given
+    sectors for its element p: the weights of pi(p) on sector (0, 0), from
+    p's terms there, times Omega's node vector q^n."""
     if isinstance(w, GNSVector) and w.nodes is not None:
         return w.nodes
-    return _node_form(w.poly if isinstance(w, GNSVector) else w, q)
+    terms = {m: c for m, c in (w.poly if isinstance(w, GNSVector) else w).terms.items()
+             if m.charges in sectors}
+    if not terms:
+        return {}
+    omega = q ** np.arange(len(_grid(q)))
+    return {sector: g * omega for sector, g in _charge_weights(terms, q, 0, 1.0).items()}
 
 
 def _pair(gu: dict, gv: dict, q: float) -> complex:
@@ -385,12 +408,7 @@ def action_weights(a: NCPolynomial, c1) -> dict[tuple[int, int], np.ndarray]:
     array of c1 values gives one row of weights per value."""
     _require_deformed(a.qp)
     q = a.qp.q
-    f = np.arange(len(_grid(q))) - np.asarray(c1)[..., None]
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for m, c in a.terms.items():
-        w = (1.0 - q * q) * c * _level_weights(m, q, f)
-        out[m.charges] = out[m.charges] + w if m.charges in out else w
-    return out
+    return _charge_weights(a.terms, q, c1, 1.0 - q * q)
 
 
 def sector_pair(u, v, qp: QParam | None = None) -> complex:
@@ -415,7 +433,7 @@ def sector_moment(c1: int, c2: int, p: int, qp: QParam) -> float:
     """
     _require_deformed(qp)
     q = qp.q
-    g = _sector_weights(c1, c2, q)
+    g = _base_weights([(c1, c2)], q)[0]
     return float((1.0 - q * q) * np.sum(g * g * _grid(q) ** p))
 
 
@@ -523,9 +541,6 @@ class GNSBasis:
         algebra products."""
         return _Entries(self)
 
-    def vector(self, l, j, k) -> GNSVector:
-        return self.entries[(halfint(l).twice, halfint(j).twice, halfint(k).twice)]
-
     def to_json_dict(self) -> dict:
         return {
             "lmax2": self.lmax2,
@@ -621,8 +636,7 @@ def gram_schmidt_basis(lmax2: int, qp: QParam) -> GNSBasis:
     norm = np.zeros((top, len(sectors)))
     for depth in range(top):
         rows = np.flatnonzero(depths > depth)
-        u = (x * vectors[depth - 1, rows] if depth
-             else np.array([_sector_weights(c1, c2, q) for (c1, c2), _ in sectors]))
+        u = x * vectors[depth - 1, rows] if depth else _base_weights([s for s, _ in sectors], q)
         done = [vectors[e] for e in range(depth)]
         for _ in range(2):  # reorthogonalization pass
             u = _project_out(u, done, rows, measure)
@@ -650,19 +664,22 @@ def _matrix_coefficient_series(c1: int, c2: int, depth: int, qp: QParam) -> NCPo
     return NCPolynomial(qp, {_sector_base_monomial(c1, c2, t): c for t, c in enumerate(coeffs)})
 
 
-def _matrix_coefficient_nodes(sectors, depth: int, q: float) -> np.ndarray:
+def _matrix_coefficient_nodes(sectors, weights: np.ndarray, depth: int, q: float) -> np.ndarray:
     """Node vectors, one row per sector (c1, c2), of the base monomial times
-    p_depth(x'), unnormalized: `_little_jacobi_at` on all sectors at once.
-    A sector's weights vanish below node c1 > 0, and at node n >= c1 the
-    rescaled argument is q^(2 (n - c1)), the grid's node n - c1."""
+    p_depth(x'), unnormalized: `_little_jacobi_at` on all sectors at once,
+    times their rows of `_base_weights`.  Those vanish below node c1 > 0,
+    and at node n >= c1 the rescaled argument is the grid's node n - c1."""
     x = _grid(q)
     a = np.array([q ** (2 * abs(c2)) for _, c2 in sectors])
     b = np.array([q ** (2 * abs(c1)) for c1, _ in sectors])
     p = _little_jacobi_at(depth, a, b, q * q, x)
-    source = np.arange(len(x)) - np.maximum([c1 for c1, _ in sectors], 0)[:, None]
-    weights = np.array([_sector_weights(c1, c2, q) for c1, c2 in sectors])
-    return np.where(source >= 0,
-                    weights * np.take_along_axis(p, np.maximum(source, 0), axis=1), 0.0)
+    shift = np.array([max(c1, 0) for c1, _ in sectors])
+    for c1 in set(shift[shift > 0].tolist()):
+        rows = shift == c1
+        p[rows, c1:] = p[rows, :-c1]
+        p[rows, :c1] = 0.0
+    p *= weights
+    return p
 
 
 def t_matrix(l, j, k, qp: QParam) -> GNSVector:
@@ -700,7 +717,7 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     if 2 * vec.degree() > qp.max_degree:
         raise DegreeOverflowError(
             f"pairing degree {2 * vec.degree()} exceeds cap {qp.max_degree}")
-    nodes = _matrix_coefficient_nodes([(c1, c2)], depth, q)[0]
+    nodes = _matrix_coefficient_nodes([(c1, c2)], _base_weights([(c1, c2)], q), depth, q)[0]
     norm_sq = (1.0 - q * q) * float(np.dot(nodes, nodes))
     if not norm_sq > 0.0:
         raise GramSingularError(
@@ -710,20 +727,18 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     return GNSVector(vec * scale, {(c1, c2): nodes * scale})
 
 
-def basis_orthonormality_defect(basis: GNSBasis, qp: QParam) -> float:
+def basis_orthonormality_defect(basis: GNSBasis) -> float:
     """Worst deviation |<e_i, e_j> - delta_ij| of the basis from orthonormality.
 
     Entries of distinct sectors pair to an exact 0, so the worst is taken
     over the sectors' Gram blocks of the node array, one batched product
-    per depth count.  A ``qp`` other than the basis's raises ValueError.
+    per depth count, with the measure 1 - q^2 of the basis's q.
     """
-    if qp != basis.qp:
-        raise ValueError(f"the basis was built at {basis.qp}, not at {qp}")
-    _require_deformed(qp)
+    q = basis.qp.q
     worst = 0.0
     for size in set(basis.depths.tolist()):
         v = np.ascontiguousarray(basis.vectors[:size, basis.depths == size].swapaxes(0, 1))
-        gram = (1.0 - qp.q * qp.q) * (np.conjugate(v) @ v.transpose(0, 2, 1))
+        gram = (1.0 - q * q) * (np.conjugate(v) @ v.transpose(0, 2, 1))
         worst = max(worst, float(np.max(np.abs(gram - np.eye(size)))))
     return worst
 
@@ -738,10 +753,14 @@ def matrix_coefficient_defect(basis: GNSBasis) -> float:
     """
     q = basis.qp.q
     measure = 1.0 - q * q
+    rows = np.arange(len(basis.sectors))
+    weights = _base_weights(basis.sectors, q)
     worst = 0.0
     for depth in range(len(basis.vectors)):
-        rows = np.flatnonzero(basis.depths > depth)
-        t = _matrix_coefficient_nodes([basis.sectors[i] for i in rows], depth, q)
+        # the sectors deeper than depth, and their weights, kept in one copy
+        live = basis.depths[rows] > depth
+        rows, weights = rows[live], weights[live]
+        t = _matrix_coefficient_nodes([basis.sectors[i] for i in rows], weights, depth, q)
         norm_sq = measure * (t * t).sum(axis=1)
         for i in np.flatnonzero(~(norm_sq > 0.0)):
             raise GramSingularError(

@@ -9,8 +9,7 @@ bilateral shift e_m -> e_{m+1}.  We compress to the window
 fock in [0, N_F), z in [-N_Z, N_Z] with *hard* truncation: transitions
 leaving the window are zeroed (no cyclic wrap), so operator identities hold
 exactly on interior vectors (those at least a margin away from the window's
-edges, `interior_indices`) and every edge defect is quantified rather than
-hidden.
+edges) and every edge defect is quantified rather than hidden.
 
 Every word is a weighted shift, e_(k, z) -> w(k, z) e_(k - c1, z + c2) for
 its charges (c1, c2), with separable weights w(k, z) = f(k) 1[z in I]: f is
@@ -22,7 +21,7 @@ them into bitwise that product.  A word acts on a column block, viewed as
 (fock, z, column), by one shifted and scaled slice copy.
 
 A relation or normal-form residual is single-sector: each column maps to at
-most one row.  Its norm is reported by `norm_bound` as
+most one row.  Its norm is reported as the bound
 sqrt(max column |.|-sum * max row |.|-sum), which is exact for such a
 weighted partial permutation and an upper bound on the 2-norm of any other
 matrix, so a residual check can only get stricter.  The |.|-sums are read
@@ -48,8 +47,8 @@ from .ncpoly import (
 )
 
 __all__ = [
-    "TruncationSpec", "build_generators", "represent", "interior_indices",
-    "operator_norm", "norm_bound", "relation_residuals", "normal_form_residual",
+    "TruncationSpec", "represent",
+    "operator_norm", "relation_residuals", "normal_form_residual",
     "apply_word_to_columns", "apply_poly_to_columns", "save_matrix", "load_matrix",
     "RELATION_NAMES",
 ]
@@ -156,11 +155,6 @@ def apply_poly_to_columns(x: NCPolynomial, t: TruncationSpec, cols: np.ndarray) 
     return _apply_words([(c, mon.letters()) for mon, c in x.terms.items()], t, x.qp, cols)
 
 
-def build_generators(t: TruncationSpec, qp: QParam):
-    """Return (alpha matrix, beta matrix) for the truncation window."""
-    return tuple(represent(NCPolynomial.generator(qp, g), t) for g in (ALPHA, BETA))
-
-
 def represent(x: NCPolynomial, t: TruncationSpec, qp: QParam | None = None) -> np.ndarray:
     """Dense matrix of an element, bitwise equal to the sum over its monomials
     of c * (1 @ M_1 @ ... @ M_n) in the generator matrices M."""
@@ -175,33 +169,11 @@ def represent(x: NCPolynomial, t: TruncationSpec, qp: QParam | None = None) -> n
     return out
 
 
-def interior_indices(t: TruncationSpec, margin: int | None = None) -> np.ndarray:
-    """Indices of basis vectors at least ``margin`` steps away from every window edge."""
-    mu = t.margin if margin is None else margin
-    if not 0 <= mu <= min(t.fock_dim - 1, t.z_band):
-        raise ValueError(f"margin {mu} leaves no interior window")
-    index = np.arange(t.dim).reshape(t.fock_dim, t.z_count)
-    return index[:t.fock_dim - mu, mu:t.z_count - mu].ravel()
-
-
 def operator_norm(a: np.ndarray) -> float:
     """2-norm: the largest singular value."""
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
-
-
-def norm_bound(a: np.ndarray) -> float:
-    """sqrt(max column |.|-sum * max row |.|-sum), at least the 2-norm.
-
-    Equal to the 2-norm, max |entry|, when every column and every row holds
-    at most one nonzero (a weighted partial permutation), as a single-sector
-    residual does.
-    """
-    if a.size == 0:
-        return 0.0
-    mag = np.abs(a)
-    return math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
 
 
 # The defining relations, in this order.
@@ -227,11 +199,12 @@ def _relation_terms(q: float) -> dict[str, tuple]:
 
 
 def _residual_bounds(residuals, t: TruncationSpec, qp: QParam) -> list[float]:
-    """`norm_bound` of each (terms, margin) residual, the sum c * word over
-    its (c, letters) terms with rows and columns in the interior window at
-    its margin.  The terms are grouped by displacement, and a group's weight
-    at (k, z) sums c f(k) over its terms whose z interval holds z; a column
-    |.|-sum adds the groups' moduli at a source, a row |.|-sum at a target.
+    """The norm bound (module docstring) of each (terms, margin) residual,
+    the sum c * word over its (c, letters) terms with rows and columns in
+    the interior window at its margin.  The terms are grouped by
+    displacement, and a group's weight at (k, z) sums c f(k) over its terms
+    whose z interval holds z; a column |.|-sum adds the groups' moduli at a
+    source, a row |.|-sum at a target.
     Along z both change only at interval ends, so they are read at one z per
     piece: no fock x z array is formed.  A sound residual is one group.
     """
@@ -285,7 +258,8 @@ def _residual_bounds(residuals, t: TruncationSpec, qp: QParam) -> list[float]:
 
 
 def relation_residuals(t: TruncationSpec, qp: QParam) -> dict[str, float]:
-    """Interior norm residual of each defining relation (see `norm_bound`).
+    """Interior norm residual of each defining relation, as the norm bound of
+    the module docstring.
 
     Every relation has total degree 2, so the interior margin is the stored
     margin plus 2.  On the infinite space all five vanish identically; here
@@ -315,7 +289,7 @@ def normal_form_residual(words, t: TruncationSpec, qp: QParam, forms=None) -> li
     margin), so all index paths stay inside the window and the residual is
     float noise when `normalize`'s product is sound; a longer word can graze
     the edges.  A sound normal form shares the word's sector, so the residual
-    is a weighted partial permutation and `norm_bound` is its norm; a term of
+    is a weighted partial permutation and the norm bound is its norm; a term of
     the normal form in another sector is a second displacement, at full size.
     ``forms``, when given, are the words' normal forms, already computed.
     """

@@ -73,13 +73,13 @@ def dirac_labels(lmax2: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def check_parity(basis: GNSBasis) -> list[CheckResult]:
+def check_parity(basis: GNSBasis, tol: float = 0.0) -> list[CheckResult]:
     """Assert g e^(l)_{jk} = (-1)^(2l) e^(l)_{jk} on the node array, per label.
 
     An entry of sector (c1, c2) is its base monomial times a polynomial in
     x = b b*, which g fixes, so g scales the sector's node vectors by the
     coefficient `z2_act` gives its base monomial.  The defect is
-    max |g e - (-1)^(2l) e| over the entry's nodes.
+    max |g e - (-1)^(2l) e| over the entry's nodes, and passes at most ``tol``.
     """
     bases = [_sector_base_monomial(c1, c2, 0) for c1, c2 in basis.sectors]
     flipped = z2_act(NCPolynomial(basis.qp, dict.fromkeys(bases, 1.0)))
@@ -90,9 +90,9 @@ def check_parity(basis: GNSBasis) -> list[CheckResult]:
     for (l2, j2, k2), defect in zip(basis.labels(), (np.abs(sign - expected) * size).tolist()):
         out.append(CheckResult(
             name=f"parity l2={l2} j2={j2} k2={k2}",
-            passed=defect == 0.0,
+            passed=defect <= tol,
             detail=f"(-1)^(2l) = {1 if l2 % 2 == 0 else -1}",
-            tolerance=0.0,
+            tolerance=tol,
             value=defect,
         ))
     return out

@@ -9,7 +9,10 @@ loses digits with depth), the matrix coefficient through `little_jacobi` on
 an algebra element, one `gns_inner` call per entry of pi on the expanded
 product, and unit columns pushed through the letter-by-letter grids of
 `word_grid`, and the orthonormality meter on the dense Gram of all
-entries.  Two routes take one item at a time where production batches: the
+entries.  `level_weights` is the Fock weight of one monomial at a time, the
+bitwise oracle for the batched `gns._fock_weights`, and `build_generators`,
+`interior_indices` and `norm_bound` are the dense-matrix views of `rep`'s
+window that its tests compare against.  Two routes take one item at a time where production batches: the
 Haar sum with one weighted shift per monomial, and the matrix-coefficient
 overlap with one `t_matrix` and one `sector_pair` per label.  The unnormalized
 matrix coefficient, the Haar sums and the weight grids perform the float
@@ -29,7 +32,7 @@ from qtriple.gns import (
     sector_labels, sector_moment, sector_of_label, sector_pair,
 )
 from qtriple.ncpoly import (
-    ALPHA, ALPHA_STAR, BETA, BETA_STAR, NCPolynomial, QParam, mul,
+    ALPHA, ALPHA_STAR, BETA, BETA_STAR, CanonicalMonomial, NCPolynomial, QParam, mul,
 )
 
 
@@ -203,3 +206,57 @@ def matrix_coefficient_defect(basis) -> float:
         tvec = gns.t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), basis.qp)
         worst = max(worst, 1.0 - abs(sector_pair(tvec, basis.entries[(l2, j2, k2)], basis.qp)))
     return worst
+
+
+def level_weights(mon: CanonicalMonomial, q: float, f: np.ndarray) -> np.ndarray:
+    """W_m(f), the weight with which the monomial sends Fock level f; 0 for f < 0."""
+    level = np.maximum(f, 0)
+    w = q ** (level * (mon.beta + mon.beta_star)).astype(float)
+    # levels f - r, r < k, for a^k (a zero factor kills f < k); f + r for a*^|k|
+    for shift in (range(0, -mon.alpha, -1) if mon.alpha > 0 else range(1, 1 - mon.alpha)):
+        w = w * np.sqrt(1.0 - q ** (2.0 * np.maximum(level + shift, 0)))
+    return np.where(f >= 0, w, 0.0)
+
+
+def sector_weights(c1: int, c2: int, q: float) -> np.ndarray:
+    """Node vector of the sector's base monomial, q^n W_base(n), by `level_weights`."""
+    n = np.arange(len(gns._grid(q)))
+    return q ** n * level_weights(_sector_base_monomial(c1, c2, 0), q, n)
+
+
+def action_weights(a: NCPolynomial, c1) -> dict:
+    """`gns.action_weights` with one `level_weights` call per term."""
+    q = a.qp.q
+    f = np.arange(len(gns._grid(q))) - np.asarray(c1)[..., None]
+    out = {}
+    for m, c in a.terms.items():
+        w = (1.0 - q * q) * c * level_weights(m, q, f)
+        out[m.charges] = out[m.charges] + w if m.charges in out else w
+    return out
+
+
+def build_generators(t: rep.TruncationSpec, qp: QParam):
+    """(alpha matrix, beta matrix) for the truncation window."""
+    return tuple(rep.represent(NCPolynomial.generator(qp, g), t) for g in (ALPHA, BETA))
+
+
+def interior_indices(t: rep.TruncationSpec, margin: int | None = None) -> np.ndarray:
+    """Indices of basis vectors at least ``margin`` steps away from every window edge."""
+    mu = t.margin if margin is None else margin
+    if not 0 <= mu <= min(t.fock_dim - 1, t.z_band):
+        raise ValueError(f"margin {mu} leaves no interior window")
+    index = np.arange(t.dim).reshape(t.fock_dim, t.z_count)
+    return index[:t.fock_dim - mu, mu:t.z_count - mu].ravel()
+
+
+def norm_bound(a: np.ndarray) -> float:
+    """sqrt(max column |.|-sum * max row |.|-sum), at least the 2-norm.
+
+    Equal to the 2-norm, max |entry|, when every column and every row holds
+    at most one nonzero (a weighted partial permutation), as a single-sector
+    residual does.
+    """
+    if a.size == 0:
+        return 0.0
+    mag = np.abs(a)
+    return math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from qtriple import cli, ncpoly, rep
+from qtriple import cli, ncpoly, rep, triple
 from qtriple.cli import main
 from qtriple.rep import TruncationSpec, edge_defect, load_matrix, represent
 from qtriple.grammar import parse
@@ -250,6 +250,58 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "covering", "--seed", "3")
         _, out2, _ = run(capsys, "verify", "covering", "--seed", "3")
         assert out1 == out2
+
+
+class TestAppliedTolerances:
+    """A tolerance set by --tol, or its default, is echoed in the report and
+    applied by its checks: a defect fails the default and passes once the
+    tolerance reaches it."""
+
+    @staticmethod
+    def verify(capsys, *argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        report = json.loads(out)
+        return code, report, {c["name"]: c for c in report["checks"]}
+
+    def test_parity(self, capsys, monkeypatch):
+        # a sign flip that fixes every basis vector: each odd-l label reads
+        # twice its largest node as its defect
+        monkeypatch.setattr(triple, "z2_act", lambda p: p)
+        code, _, checks = self.verify(capsys, "parity", "--lmax2", "3")
+        worst = max(c["value"] for c in checks.values())
+        assert code == 1 and worst > 0.0
+        assert {c["tolerance"] for c in checks.values()} == {0.0}
+        code, report, checks = self.verify(capsys, "parity", "--lmax2", "3",
+                                           "--tol", f"parity={worst!r}")
+        assert code == 0 and report["config"]["tolerances"]["parity"] == worst
+        assert {c["tolerance"] for c in checks.values()} == {worst}
+
+    def test_covering(self, capsys, monkeypatch):
+        # module products without their sign-flipped half are not fixed by g
+        monkeypatch.setattr(triple, "hilbert_module_product", lambda a, b: ncpoly.mul(
+            ncpoly.adjoint(a), b))
+        name = "module products sign-flip fixed"
+        code, _, checks = self.verify(capsys, "covering")
+        worst = checks[name]["value"]
+        assert code == 1 and worst > 0.0 and checks[name]["tolerance"] == 0.0
+        code, report, checks = self.verify(capsys, "covering", "--tol", f"covering={worst!r}")
+        assert code == 0 and report["config"]["tolerances"]["covering"] == worst
+        assert checks[name]["pass"] and checks[name]["tolerance"] == worst
+
+    def test_haar(self, capsys):
+        # the default is 10 q^(2 N_F) on the check's 24 Fock levels: at
+        # q = 0.9 it passes the check's 6.4e-3, and half that value fails
+        name = "haar exact vs numeric (deg <= 6)"
+        code, report, checks = self.verify(capsys, "gns", "--q", "0.9", "--lmax2", "2")
+        value = checks[name]["value"]
+        assert code == 0 and value > 0.0
+        assert checks[name]["tolerance"] == report["config"]["tolerances"]["haar"]
+        assert checks[name]["tolerance"] == 10.0 * 0.9 ** 48
+        code, report, checks = self.verify(capsys, "gns", "--q", "0.9", "--lmax2", "2",
+                                           "--tol", f"haar={value / 2!r}")
+        assert code == 1 and report["config"]["tolerances"]["haar"] == value / 2
+        assert [n for n, c in checks.items() if not c["pass"]] == [name]
+        assert checks[name]["tolerance"] == value / 2
 
 
 class TestSpectrum:

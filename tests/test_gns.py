@@ -235,6 +235,44 @@ class TestInnerProduct:
         assert gns_inner(x, c * y) == pytest.approx(c * gns_inner(x, y), abs=1e-12)
 
 
+class TestFockWeights:
+    """The batched weight kernel against `routes.level_weights`, one monomial
+    at a time: the same float operations in the same order, so bitwise."""
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.999])
+    def test_base_weights_match_the_per_monomial_oracle_bitwise(self, q):
+        sectors = [sector for sector, _ in sector_labels(8)]
+        want = np.array([routes.sector_weights(c1, c2, q) for c1, c2 in sectors])
+        assert gns._base_weights(sectors, q).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q", MODERATE_Q)
+    def test_action_weights_match_the_per_monomial_oracle_bitwise(self, q):
+        # complex coefficients, a scalar c1 and rows of c1 values on both
+        # sides of 0, so levels f < 0 occur for a- and a*-powers alike
+        qp = QParam(q)
+        rng = random.Random(29)
+        for _ in range(50):
+            x = random_polynomial(rng, qp, max_degree=6, n_terms=5)
+            x = NCPolynomial(qp, {m: c * complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                  for m, c in x.terms.items()})
+            for c1 in (0, 3, np.arange(-8, 9)):
+                got, want = gns.action_weights(x, c1), routes.action_weights(x, c1)
+                assert got.keys() == want.keys()
+                for charge, w in want.items():
+                    assert got[charge].tobytes() == w.tobytes(), (x, c1, charge)
+
+    def test_node_form_is_pi_of_the_element_on_omega(self, qp):
+        # the pairing's node vectors are pi(p) Omega: the weights of pi(p) on
+        # sector (0, 0), without the pairing's constant, times Omega = q^n
+        x = parse("a b' + 0.3 a' b + b b' - 2 a^2", qp)
+        omega = qp.q ** np.arange(len(gns._grid(qp.q)))
+        nodes = gns._node_form(x, qp.q, {m.charges for m in x.terms})
+        weights = routes.action_weights(x, 0)
+        assert nodes.keys() == weights.keys()
+        for charge, w in weights.items():
+            assert np.max(np.abs(nodes[charge] * (1.0 - qp.q ** 2) - w * omega)) <= 1e-16
+
+
 class TestCharges:
     def test_examples(self):
         assert CanonicalMonomial(1, 1, 0).charges == (1, 1)
@@ -319,7 +357,7 @@ class TestLittleJacobi:
 class TestGramSchmidt:
     def test_unit_vector_first(self, qp):
         basis = gram_schmidt_basis(2, qp)
-        assert basis.vector(0, 0, 0).poly == NCPolynomial.one(qp)
+        assert basis.entries[(0, 0, 0)].poly == NCPolynomial.one(qp)
 
     def test_alpha_sector_norm(self, qp):
         q = qp.q
@@ -389,8 +427,7 @@ class TestGramSchmidt:
         # is q^n q^(3n) = 1e-160: its square leaves the float range
         with pytest.raises(GramSingularError, match=r"sector \(2, -3\) depth 0: residual"):
             gram_schmidt_basis(5, QParam(1e-20))
-        assert basis_orthonormality_defect(gram_schmidt_basis(3, QParam(1e-20)),
-                                           QParam(1e-20)) <= 1e-15
+        assert basis_orthonormality_defect(gram_schmidt_basis(3, QParam(1e-20))) <= 1e-15
 
     def test_grid_doubling_changes_no_node_vector(self, monkeypatch):
         # twice the nodes (floor 1e-36 in place of 1e-18): no node vector
@@ -399,7 +436,6 @@ class TestGramSchmidt:
         # q = 0.9), so no pairing sees them
         def node_vectors(q):
             gns._grid.cache_clear()
-            gns._sector_weights.cache_clear()
             gns.gram_schmidt_basis.cache_clear()
             basis = gram_schmidt_basis(8, QParam(q))
             return {k: next(iter(v.nodes.values())) for k, v in basis.entries.items()}
@@ -443,7 +479,7 @@ class TestGramSchmidt:
         monkeypatch.setattr(gns, "_matrix_coefficient_series", refuse)
         basis = gram_schmidt_basis(6, qp)
         x = parse("a + b b'", qp)
-        assert basis_orthonormality_defect(basis, qp) <= 1e-15
+        assert basis_orthonormality_defect(basis) <= 1e-15
         assert np.any(triple.pi_matrix(x, basis))
         assert np.any(triple.commutator_matrix(x, basis, triple.DiracSpec(HalfInt(6))))
         assert triple.commutator_norm_scan(x, qp, [4, 5, 6])[-1] > 0.0
@@ -522,18 +558,12 @@ class TestGramSchmidt:
         # reads that cross-pairing of 1e-6 (an entry cannot carry a vector
         # of another sector: the array has one slot per sector and depth)
         basis = gram_schmidt_basis(4, qp)
-        assert basis_orthonormality_defect(basis, qp) <= 1e-15
+        assert basis_orthonormality_defect(basis) <= 1e-15
         sector = basis.sectors.index((1, 0))
         vectors = basis.vectors.copy()
         vectors[1, sector] += 1e-6 * vectors[0, sector]
         spoiled = GNSBasis(qp, basis.sectors, vectors, basis.depth_norms)
-        assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(1e-6, rel=1e-9)
-
-    def test_orthonormality_defect_refuses_another_q(self):
-        # the measure 1 - q^2 is the basis's: q = 0.3 would read 0.2133 here
-        basis = gram_schmidt_basis(4, QParam(0.5))
-        with pytest.raises(ValueError, match="built at"):
-            basis_orthonormality_defect(basis, QParam(0.3))
+        assert basis_orthonormality_defect(spoiled) == pytest.approx(1e-6, rel=1e-9)
 
     def test_orthonormality_defect_sees_a_perturbed_node_vector(self, qp):
         # e^(1)_00 gains 1e-6 of the unit entry, in a copy of the node array
@@ -542,7 +572,7 @@ class TestGramSchmidt:
         vectors = basis.vectors.copy()
         vectors[1, sector] += 1e-6 * vectors[0, sector]
         spoiled = GNSBasis(qp, basis.sectors, vectors, basis.depth_norms)
-        assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(1e-6, rel=1e-6)
+        assert basis_orthonormality_defect(spoiled) == pytest.approx(1e-6, rel=1e-6)
 
     @pytest.mark.parametrize("lmax2", [0, 3, 8, 16])
     def test_orthonormality_defect_matches_the_dense_gram(self, monkeypatch, lmax2):
@@ -554,10 +584,10 @@ class TestGramSchmidt:
         vectors = basis.vectors.copy()
         vectors[0, basis.sectors.index((0, 0))] *= 1.0 + 1e-6
         spoiled = GNSBasis(qp, basis.sectors, vectors, basis.depth_norms)
-        assert basis_orthonormality_defect(basis, qp) <= 1e-15
-        assert basis_orthonormality_defect(spoiled, qp) == pytest.approx(2e-6, rel=1e-6)
+        assert basis_orthonormality_defect(basis) <= 1e-15
+        assert basis_orthonormality_defect(spoiled) == pytest.approx(2e-6, rel=1e-6)
         for b in (basis, spoiled):
-            assert basis_orthonormality_defect(b, qp) == pytest.approx(
+            assert basis_orthonormality_defect(b) == pytest.approx(
                 routes.orthonormality_defect(b, qp), rel=1e-9, abs=1e-15)
 
     def test_orthonormality_defect_matches_expanded_gram(self, qp):
@@ -566,7 +596,7 @@ class TestGramSchmidt:
         gram = np.array([[expanded_inner(basis.entries[li], basis.entries[lj])
                           for lj in labels] for li in labels])
         dense = float(np.max(np.abs(gram - np.eye(len(labels)))))
-        assert abs(basis_orthonormality_defect(basis, qp) - dense) <= 1e-12
+        assert abs(basis_orthonormality_defect(basis) - dense) <= 1e-12
 
     def test_json_roundtrip(self, qp):
         basis = gram_schmidt_basis(2, qp)
@@ -687,11 +717,12 @@ class TestMatrixCoefficients:
         assert pairing_gap(QParam(q)) <= 1e-11
 
     def test_pairing_check_catches_a_wrong_q_power(self, monkeypatch):
-        # one x power too many in every sector measure: each node weight
-        # w_s(n) gains a factor x_n, and the pairing must part from the oracle
-        true_weights = gns._sector_weights
-        monkeypatch.setattr(gns, "_sector_weights", lambda c1, c2, q:
-                            true_weights(c1, c2, q) * np.sqrt(gns._grid(q)))
+        # one x power too many in every sector measure: the weight kernel
+        # counts one b degree too many, so each node weight gains a factor
+        # q^n (x_n in the measure), and the pairing must part from the oracle
+        true_weights = gns._fock_weights
+        monkeypatch.setattr(gns, "_fock_weights", lambda alpha, degree, f, q:
+                            true_weights(alpha, np.asarray(degree) + 1, f, q))
         for q in MODERATE_Q:
             assert pairing_gap(QParam(q)) > 1e-11
 
@@ -733,6 +764,17 @@ def exact_mismatch(qf: Fraction, lmax2: int = 8) -> float:
                 want = float(exact) / norm
                 worst = max(worst, abs(got - want) / abs(want))
     return worst
+
+
+def a_star_weights_gain_a_b_degree():
+    """The weight kernel with one b degree too many on the a*-power monomials
+    (alpha exponent < 0): their node weights gain a factor q^n (x_n in the
+    measure)."""
+    true_weights = gns._fock_weights
+
+    def mutant(alpha, degree, f, q):
+        return true_weights(alpha, np.asarray(degree) + (np.asarray(alpha) < 0), f, q)
+    return mutant
 
 
 class TestExactOracle:
@@ -780,9 +822,7 @@ class TestExactOracle:
         # (c1 < 0): the basis is still orthonormal in node space, but no
         # longer the one of the Haar state
         assert exact_mismatch(Fraction(1, 2), lmax2=4) <= 1e-14
-        true_weights = gns._sector_weights
-        monkeypatch.setattr(gns, "_sector_weights", lambda c1, c2, q: true_weights(c1, c2, q)
-                            * (np.sqrt(gns._grid(q)) if c1 < 0 else 1.0))
+        monkeypatch.setattr(gns, "_fock_weights", a_star_weights_gain_a_b_degree())
         assert exact_mismatch(Fraction(1, 2), lmax2=4) > 1e-3
 
 
@@ -834,7 +874,5 @@ class TestVerifyGnsMutations:
     def test_overlap_check(self, monkeypatch):
         # one x power too many in the weights of the a*-power sectors: the
         # closed-form matrix coefficients are no longer orthogonal there
-        true_weights = gns._sector_weights
-        monkeypatch.setattr(gns, "_sector_weights", lambda c1, c2, q: true_weights(c1, c2, q)
-                            * (np.sqrt(gns._grid(q)) if c1 < 0 else 1.0))
+        monkeypatch.setattr(gns, "_fock_weights", a_star_weights_gain_a_b_degree())
         assert failing_gns_checks("--q", "0.5") == ["matrix coefficients match Gram-Schmidt"]

@@ -14,9 +14,10 @@ from qtriple.ncpoly import (
 )
 from qtriple.rep import (
     RELATION_NAMES, TruncationSpec, apply_poly_to_columns, apply_word_to_columns,
-    build_generators, edge_defect, interior_indices, load_matrix, norm_bound,
-    normal_form_residual, operator_norm, relation_residuals, represent, save_matrix,
+    edge_defect, load_matrix, normal_form_residual, operator_norm, relation_residuals,
+    represent, save_matrix,
 )
+from routes import build_generators, interior_indices, norm_bound
 
 
 T_SMALL = TruncationSpec(8, 4, 1)
