@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -20,7 +21,6 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,8 +75,8 @@ class RunConfig:
         if self.lmax2 is not None and self.lmax2 < 0:
             raise ConfigError("lmax2 must be nonnegative")
         for name, tol in self.tolerances.items():
-            if tol is not None and tol < 0:
-                raise ConfigError(f"tolerance {name} must be nonnegative")
+            if tol is not None and not 0.0 <= tol < math.inf:
+                raise ConfigError(f"tolerance {name} must be finite and nonnegative, got {tol}")
 
     @property
     def qp(self) -> QParam:
@@ -154,11 +154,7 @@ def render_poly(p: NCPolynomial) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_normalize(args, cfg: RunConfig) -> int:
-    try:
-        poly = parse(args.expr, cfg.qp)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    poly = parse(args.expr, cfg.qp)
     if cfg.fmt == "json":
         _emit(json.dumps(poly.to_json_dict()), cfg)
         return 0
@@ -173,11 +169,7 @@ def cmd_normalize(args, cfg: RunConfig) -> int:
 
 
 def cmd_haar(args, cfg: RunConfig) -> int:
-    try:
-        poly = parse(args.expr, cfg.qp)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    poly = parse(args.expr, cfg.qp)
     exact = gns.haar_exact(poly)
     numeric = gns.haar_numeric(poly, cfg.trunc())
     data = {"exact": [exact.real, exact.imag],
@@ -237,28 +229,23 @@ def cmd_dump_basis(args, cfg: RunConfig) -> int:
 
 
 def cmd_dump_matrix(args, cfg: RunConfig) -> int:
-    try:
-        poly = parse(args.expr, cfg.qp)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    poly = parse(args.expr, cfg.qp)
     fmt = cfg.fmt or "json"
     if fmt not in ("json", "bin"):
-        print(f"matrix format must be json or bin, got {fmt}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"matrix format must be json or bin, got {fmt}")
     if not cfg.out:
-        print("dump-matrix requires --out", file=sys.stderr)
-        return 2
+        raise ConfigError("dump-matrix requires --out")
     mat = rep.represent(poly, cfg.trunc())
     rep.save_matrix(mat, cfg.out, fmt)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Verification suites
+# Verification suites: suite_<name>(cfg) -> (checks, extra), where extra
+# holds the report keys that follow "all_pass"
 # ---------------------------------------------------------------------------
 
-def suite_relations(cfg: RunConfig) -> list[CheckResult]:
+def suite_relations(cfg: RunConfig) -> tuple[list[CheckResult], dict]:
     checks = []
     t = cfg.trunc(max(cfg.margin, 1))
     if t.margin + 2 > min(t.fock_dim - 1, t.z_band):
@@ -279,10 +266,10 @@ def suite_relations(cfg: RunConfig) -> list[CheckResult]:
     detail = "relative interior residual, margin = word length" + (f" <= {cap}" if cap < 8 else "")
     checks.append(CheckResult("normal-form oracle (200 words)", worst <= tol_nf,
                               detail, tol_nf, worst))
-    return checks
+    return checks, {"metrics": {"edge_defect": rep.edge_defect(cfg.trunc(), cfg.qp)}}
 
 
-def suite_gns(cfg: RunConfig) -> list[CheckResult]:
+def suite_gns(cfg: RunConfig) -> tuple[list[CheckResult], dict]:
     checks = []
     qp = cfg.qp
     q = cfg.q
@@ -292,9 +279,9 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
     for mon in monomials_up_to(6):
         p = NCPolynomial.monomial(qp, mon)
         worst = max(worst, abs(gns.haar_exact(p) - gns.haar_numeric(p, t24)))
+    floored = ", tolerance floored at machine precision" if cfg.tolerances["haar"] is None else ""
     checks.append(CheckResult("haar exact vs numeric (deg <= 6)", worst <= tol_haar,
-                              f"fock_dim {t24.fock_dim}, tolerance floored at machine precision",
-                              tol_haar, worst))
+                              f"fock_dim {t24.fock_dim}{floored}", tol_haar, worst))
 
     tol_series = cfg.tol("haar_series")
     worst = 0.0
@@ -322,16 +309,15 @@ def suite_gns(cfg: RunConfig) -> list[CheckResult]:
     worst = gns.matrix_coefficient_defect(basis)
     checks.append(CheckResult("matrix coefficients match Gram-Schmidt", worst <= tol_overlap,
                               "1 - |overlap|, node pairing", tol_overlap, worst))
-    return checks
+    return checks, {}
 
 
-def suite_parity(cfg: RunConfig) -> list[CheckResult]:
-    lmax2 = cfg.basis_lmax2(5)
-    basis = gns.gram_schmidt_basis(lmax2, cfg.qp)
-    return triple.check_parity(basis, cfg.tol("parity"))
+def suite_parity(cfg: RunConfig) -> tuple[list[CheckResult], dict]:
+    basis = gns.gram_schmidt_basis(cfg.basis_lmax2(5), cfg.qp)
+    return triple.check_parity(basis, cfg.tol("parity")), {}
 
 
-def suite_covering(cfg: RunConfig) -> list[CheckResult]:
+def suite_covering(cfg: RunConfig) -> tuple[list[CheckResult], dict]:
     checks = []
     tol = cfg.tol("covering")
     cert = triple.certify_covering(8, cfg.qp)
@@ -349,7 +335,7 @@ def suite_covering(cfg: RunConfig) -> list[CheckResult]:
         worst = max(worst, z2_act(prod).max_coeff_diff(prod))
     checks.append(CheckResult("module products sign-flip fixed", worst <= tol,
                               "100 random pairs", tol, worst))
-    return checks
+    return checks, {}
 
 
 def suite_triple(cfg: RunConfig) -> tuple[list[CheckResult], dict]:
@@ -379,13 +365,12 @@ def suite_triple(cfg: RunConfig) -> tuple[list[CheckResult], dict]:
     checks.append(CheckResult("commutator norm stabilizes", drift < drift_tol,
                               f"norms at lmax2 3..6: {[round(n, 6) for n in norms]}",
                               drift_tol, drift))
-    return checks, result
+    return checks, {"spectrum": triple.aggregate_spectrum(result["restricted"])}
 
 
-def suite_deform(cfg: RunConfig) -> tuple[list[CheckResult], list[dict]]:
+def suite_deform(cfg: RunConfig) -> tuple[list[CheckResult], dict]:
     try:
-        model = isodeform.build_model(cfg.n, Fraction(cfg.theta) if "/" in cfg.theta
-                                      else float(cfg.theta))
+        model = isodeform.build_model(cfg.n, cfg.theta)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc))
     tol = cfg.tol("deform")
@@ -414,38 +399,20 @@ def suite_deform(cfg: RunConfig) -> tuple[list[CheckResult], list[dict]]:
                               "generator pairs", tol, worst_a))
     checks.append(CheckResult("twist multiplicativity", worst_b <= tol,
                               "generator pairs, left and right", tol, worst_b))
-    for c in isodeform.twisted_triple_check(model, tol=cfg.tol("twisted")):
-        checks.append(c)
-    return checks, residuals
+    checks.extend(isodeform.twisted_triple_check(model, tol=cfg.tol("twisted")))
+    return checks, {"residuals": residuals}
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    suite = args.suite
-    extra: dict = {}
-    if suite == "relations":
-        checks = suite_relations(cfg)
-        extra["metrics"] = {"edge_defect": rep.edge_defect(cfg.trunc(), cfg.qp)}
-    elif suite == "gns":
-        checks = suite_gns(cfg)
-    elif suite == "parity":
-        checks = suite_parity(cfg)
-    elif suite == "covering":
-        checks = suite_covering(cfg)
-    elif suite == "triple":
-        checks, result = suite_triple(cfg)
-        extra["spectrum"] = triple.aggregate_spectrum(result["restricted"])
-    elif suite == "deform":
-        checks, residuals = suite_deform(cfg)
-        extra["residuals"] = residuals
-    else:
-        raise ConfigError(f"unknown suite {suite!r}")
+    # looked up at call time, so a suite replaced on the module is the one run
+    checks, extra = globals()[f"suite_{args.suite}"](cfg)
     report = {
-        "suite": suite,
+        "suite": args.suite,
         "config": cfg.echo(),
         "checks": [c.to_dict() for c in checks],
         "all_pass": all_passed(checks),
+        **extra,
     }
-    report.update(extra)
     _emit(json.dumps(report, indent=2), cfg)
     for c in checks:
         log.info("%-45s %s  value=%s", c.name, "PASS" if c.passed else "FAIL", c.value)
@@ -456,21 +423,16 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-_OPTION_DEFAULTS = {
-    "q": 0.5, "lmax2": None, "fock": 16, "zband": 8, "margin": 2,
-    "theta": "1/4", "n": 4, "seed": 0, "out": None, "fmt": None, "tol": [],
-}
-
-
 def _add_options(ap: argparse.ArgumentParser) -> None:
     # SUPPRESS defaults: subcommand-position flags must not clobber values
-    # parsed before the subcommand; real defaults are filled in afterwards.
+    # parsed before the subcommand; RunConfig's field defaults fill the rest.
+    # Each dest is a RunConfig field name, except --tol's.
     s = argparse.SUPPRESS
     ap.add_argument("--q", type=float, default=s, help="deformation parameter (0, 1)")
     ap.add_argument("--lmax2", type=int, default=s,
                     help="twice the top representation label")
-    ap.add_argument("--fock", type=int, default=s, dest="fock")
-    ap.add_argument("--zband", type=int, default=s, dest="zband")
+    ap.add_argument("--fock", type=int, default=s, dest="fock_dim", metavar="FOCK")
+    ap.add_argument("--zband", type=int, default=s, dest="z_band", metavar="ZBAND")
     ap.add_argument("--margin", type=int, default=s)
     ap.add_argument("--theta", type=str, default=s,
                     help="deformation angle, rational p/N or float")
@@ -521,12 +483,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    opts = dict(_OPTION_DEFAULTS)
-    for key in opts:
-        if hasattr(args, key):
-            opts[key] = getattr(args, key)
+    """The run configuration of the options given; the others keep RunConfig's defaults."""
     tolerances = dict(DEFAULT_TOLERANCES)
-    for item in opts["tol"]:
+    for item in getattr(args, "tol", []):
         if "=" not in item:
             raise ConfigError(f"bad --tol entry {item!r}, expected name=value")
         name, _, value = item.partition("=")
@@ -536,9 +495,8 @@ def _config_from(args) -> RunConfig:
             tolerances[name] = float(value)
         except ValueError:
             raise ConfigError(f"bad --tol value {value!r} for {name}") from None
-    return RunConfig(q=opts["q"], lmax2=opts["lmax2"], fock_dim=opts["fock"],
-                     z_band=opts["zband"], margin=opts["margin"], theta=opts["theta"],
-                     n=opts["n"], seed=opts["seed"], out=opts["out"], fmt=opts["fmt"],
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in fields},
                      tolerances=tolerances)
 
 
@@ -546,18 +504,19 @@ def main(argv=None) -> int:
     level = os.environ.get("QTRIPLE_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # the one place where a user error becomes exit 2; any other exception,
+    # a plain ValueError included, is an internal fault and propagates
     try:
-        cfg = _config_from(args)
-        return args.func(args, cfg)
+        return args.func(args, _config_from(args))
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
     except gns.GramSingularError as exc:
         print(f"configuration error: {exc} (extreme q and depth degenerate the "
               "sector measure; lower --lmax2 or use a moderate q)", file=sys.stderr)
-        return 2
-    except (ConfigError, ParseError, DegreeOverflowError) as exc:
+    except (ConfigError, DegreeOverflowError, isodeform.GradingError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

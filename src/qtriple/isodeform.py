@@ -20,7 +20,7 @@ Two modes:
   shifts V (x) 1 (bidegree (1,0), the "shift") and 1 (x) V (bidegree (0,1),
   the "clock" direction) are exactly homogeneous and every twist identity
   below holds to float roundoff.
-* generic mode: arbitrary real theta; bidegrees are kept as plain integers,
+* generic mode: arbitrary finite real theta; bidegrees are kept as plain integers,
   (c, d) -> (c+n1, d+n2) with weight 0 where the target leaves the window
   (the wraparound band of a cyclic shift is then its own component), which
   again makes the identities exact rather than approximate.
@@ -80,6 +80,8 @@ class TorusModel:
             if self.n % self.theta.denominator != 0:
                 raise ValueError(
                     f"exact theta denominator {self.theta.denominator} must divide N={self.n}")
+        elif not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
 
     @property
     def dim(self) -> int:
@@ -191,10 +193,11 @@ class TorusModel:
 
 
 def build_model(n: int, theta) -> TorusModel:
-    """Construct the model; rational theta (Fraction, int, or "p/q" string)
-    selects exact mode, float theta the generic mode."""
+    """Construct the model; a Fraction or int theta selects exact mode, a
+    float the generic mode.  A string follows the CLI's rule: "p/N" is an
+    exact Fraction, anything else ("0.3", and "1" too) a float."""
     if isinstance(theta, str):
-        theta = Fraction(theta)
+        theta = Fraction(theta) if "/" in theta else float(theta)
     if isinstance(theta, int):
         theta = Fraction(theta)
     if isinstance(theta, Fraction):

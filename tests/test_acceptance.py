@@ -140,7 +140,7 @@ def test_criterion_06_dirac_and_restriction():
 
 def test_criterion_07_covering_certification():
     qp = QParam(0.5)
-    cert = certify_covering(8, qp)  # raises on any reassembly mismatch
+    cert = certify_covering(8, qp)
     expected = sum((d + 1) ** 2 for d in (1, 3, 5, 7))
     rng = random.Random(0)
     worst = 0.0
@@ -149,7 +149,7 @@ def test_criterion_07_covering_certification():
         b = random_polynomial(rng, qp, max_degree=4, n_terms=3)
         prod = hilbert_module_product(a, b)
         worst = max(worst, z2_act(prod).max_coeff_diff(prod))
-    ok = cert.odd_count == expected and worst == 0.0
+    ok = cert.odd_count == expected and not cert.mismatches and worst == 0.0
     report(7, ok, f"{cert.odd_count}/{expected} odd monomials (deg <= 8) decompose "
                   f"with exact reassembly; 100 module products sign-flip fixed "
                   f"(defect {worst})")

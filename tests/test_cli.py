@@ -64,9 +64,10 @@ class TestNormalize:
         assert out.splitlines()[0] == "canonical form: 3.3554432e-06 * a* b^25"
 
     def test_parse_error_exits_2(self, capsys):
-        code, _, err = run(capsys, "normalize", "a + $")
-        assert code == 2
-        assert "parse error" in err
+        for command in ("normalize", "haar", "dump-matrix"):
+            code, out, err = run(capsys, command, "a + $", "--out", os.devnull)
+            assert code == 2 and out == ""
+            assert err == "parse error: unexpected character '$' (at position 4)\n"
 
 
 class TestConfig:
@@ -96,6 +97,24 @@ class TestConfig:
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
             assert "configuration error" in err, argv
+
+    @pytest.mark.parametrize("argv", [
+        # an odd order with a fractional theta: the total-parity grading is
+        # not defined on degrees mod N
+        ["deform", "--n", "3", "--theta", "1/3"],
+        ["deform", "--n", "5", "--theta", "1/5"],
+        # a non-finite theta has no phase
+        ["deform", "--theta", "nan"],
+        ["deform", "--theta", "inf"],
+        ["deform", "--theta", "1e400"],
+        # a NaN tolerance fails its check and inf passes every one; neither is JSON
+        ["gns", "--tol", "orthonormality=nan"],
+        ["relations", "--tol", "relations=inf"],
+    ])
+    def test_user_error_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error:") and err.count("\n") == 1
 
     def test_internal_value_error_is_not_a_config_error(self, capsys, monkeypatch):
         def broken(cfg):
@@ -246,6 +265,22 @@ class TestVerify:
         spec = {row["eig"]: row["mult"] for row in report["spectrum"]}
         assert spec == {-1: 1, -3: 3, 3: 6, -5: 5, 5: 20}
 
+    def test_covering_decomposition_mismatch_fails_its_check(self, capsys, monkeypatch):
+        # each factor doubled: no decomposition reassembles, and the suite
+        # reports that as a failing check rather than raising
+        exact = triple.module_decompose
+        monkeypatch.setattr(triple, "module_decompose",
+                            lambda x: [(2 * f, letter) for f, letter in exact(x)])
+        code, out, _ = run(capsys, "verify", "covering")
+        assert code == 1
+        report = json.loads(out)
+        assert report["all_pass"] is False and len(report["checks"]) == 2
+        name = "odd monomials decompose (deg <= 8)"
+        checks = {c["name"]: c for c in report["checks"]}
+        assert [n for n, c in checks.items() if not c["pass"]] == [name]
+        assert checks[name]["value"] == 120.0
+        assert checks[name]["detail"] == "0 of 120 monomials"
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "verify", "covering", "--seed", "3")
         _, out2, _ = run(capsys, "verify", "covering", "--seed", "3")
@@ -297,11 +332,14 @@ class TestAppliedTolerances:
         assert code == 0 and value > 0.0
         assert checks[name]["tolerance"] == report["config"]["tolerances"]["haar"]
         assert checks[name]["tolerance"] == 10.0 * 0.9 ** 48
+        assert checks[name]["detail"] == "fock_dim 24, tolerance floored at machine precision"
         code, report, checks = self.verify(capsys, "gns", "--q", "0.9", "--lmax2", "2",
                                            "--tol", f"haar={value / 2!r}")
         assert code == 1 and report["config"]["tolerances"]["haar"] == value / 2
         assert [n for n, c in checks.items() if not c["pass"]] == [name]
         assert checks[name]["tolerance"] == value / 2
+        # a --tol value is applied as given, so the detail claims no floor
+        assert checks[name]["detail"] == "fock_dim 24"
 
 
 class TestSpectrum:
@@ -354,6 +392,14 @@ class TestDumps:
     def test_dump_matrix_requires_out(self, capsys):
         code, _, err = run(capsys, "dump-matrix", "a")
         assert code == 2
+        assert err == "configuration error: dump-matrix requires --out\n"
+
+    def test_dump_matrix_format_refused(self, capsys, tmp_path):
+        code, _, err = run(capsys, "dump-matrix", "a", "--format", "csv",
+                           "--out", os.fspath(tmp_path / "m.csv"))
+        assert code == 2
+        assert err == "configuration error: matrix format must be json or bin, got csv\n"
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestProcessLevel:

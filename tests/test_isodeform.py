@@ -92,6 +92,19 @@ class TestModel:
         with pytest.raises(ValueError):
             build_model(1, Fraction(0))
 
+    def test_string_theta_rule(self):
+        # the CLI's rule: "p/N" is exact, any other string a float
+        assert build_model(6, "1/3").theta == Fraction(1, 3)
+        for text, value in (("0.3", 0.3), ("1", 1.0), ("1e-3", 1e-3)):
+            m = build_model(4, text)
+            assert not m.exact and m.theta == value
+        assert build_model(4, 1).exact  # an int, not a string, stays exact
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, "nan", "1e400"])
+    def test_non_finite_theta_refused(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            build_model(4, theta)
+
     def test_lam_powers_match_fraction_reference(self):
         # exact mode reduces theta * k mod 1 in rationals, so the error stays
         # at one rounding of the phase however large k grows

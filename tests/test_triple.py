@@ -382,6 +382,14 @@ class TestCovering:
         assert cert.odd_count == sum((d + 1) ** 2 for d in (1, 3, 5, 7))
         assert sorted(cert.generators) == [ALPHA, ALPHA_STAR, BETA, BETA_STAR]
 
+    def test_mismatch_is_recorded_not_raised(self, qp, monkeypatch):
+        exact = triple.module_decompose
+        monkeypatch.setattr(triple, "module_decompose",
+                            lambda x: [(2 * f, letter) for f, letter in exact(x)])
+        cert = certify_covering(3, qp)
+        assert cert.odd_count == 0
+        assert cert.mismatches == list(monomials_up_to(3, parity="odd"))
+
     def test_degree_cap(self, qp):
         with pytest.raises(ValueError):
             certify_covering(11, qp)
