@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import pathlib
 import random
 import sys
 from dataclasses import dataclass, field
@@ -116,10 +117,20 @@ class RunConfig:
         }
 
 
+def _write_out(path: str, write) -> None:
+    """Call write(path).  An OSError that names ``path`` comes from opening
+    the user's --out and is a user error; any other propagates."""
+    try:
+        write(path)
+    except OSError as exc:
+        if exc.filename != path:
+            raise
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
+
+
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        _write_out(cfg.out, lambda path: pathlib.Path(path).write_text(text))
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -236,7 +247,7 @@ def cmd_dump_matrix(args, cfg: RunConfig) -> int:
     if not cfg.out:
         raise ConfigError("dump-matrix requires --out")
     mat = rep.represent(poly, cfg.trunc())
-    rep.save_matrix(mat, cfg.out, fmt)
+    _write_out(cfg.out, lambda path: rep.save_matrix(mat, path, fmt))
     return 0
 
 
@@ -247,7 +258,9 @@ def cmd_dump_matrix(args, cfg: RunConfig) -> int:
 
 def suite_relations(cfg: RunConfig) -> tuple[list[CheckResult], dict]:
     checks = []
-    t = cfg.trunc(max(cfg.margin, 1))
+    if cfg.margin < 1:
+        raise ConfigError(f"relations need margin >= 1, got {cfg.margin}")
+    t = cfg.trunc(cfg.margin)
     if t.margin + 2 > min(t.fock_dim - 1, t.z_band):
         raise ConfigError(f"relations need margin + 2 <= min(fock - 1, zband), got {t.margin} + 2")
     tol = cfg.tol("relations")

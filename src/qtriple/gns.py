@@ -75,27 +75,10 @@ class HalfInt:
 
     twice: int
 
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __str__(self):
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
-
-    def __add__(self, other):
-        return HalfInt(self.twice + halfint(other).twice)
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - halfint(other).twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
 
 
 def halfint(v) -> HalfInt:
@@ -160,15 +143,14 @@ def _require_deformed(qp: QParam):
         raise ValueError("invariant state formulas require q < 1")
 
 
-def haar_exact(x: NCPolynomial, qp: QParam | None = None) -> complex:
+def haar_exact(x: NCPolynomial) -> complex:
     """Closed-form Haar value, term by term; exact up to float arithmetic."""
-    qp = qp or x.qp
-    _require_deformed(qp)
-    return sum((c * _haar_monomial(m, qp.q) for m, c in x.terms.items()),
+    _require_deformed(x.qp)
+    return sum((c * _haar_monomial(m, x.qp.q) for m, c in x.terms.items()),
                start=0.0 + 0.0j)
 
 
-def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec, qp: QParam | None = None) -> complex:
+def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec) -> complex:
     """Truncated diagonal sum (1-q^2) sum_n q^(2n) <(n,0)| x |(n,0)>.
 
     Independent of `haar_exact`: goes through the representation.  Only a
@@ -179,7 +161,7 @@ def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec, qp: QParam | None = No
     does.  Agreement with `haar_exact` is up to the geometric tail
     q^(2 fock_dim) plus edge effects.
     """
-    qp = qp or x.qp
+    qp = x.qp
     _require_deformed(qp)
     q = qp.q
     diagonal = np.zeros(t.fock_dim, dtype=complex)
@@ -194,7 +176,7 @@ def haar_numeric(x: NCPolynomial, t: _rep.TruncationSpec, qp: QParam | None = No
     return complex((1.0 - q * q) * total)
 
 
-def gns_inner(u, v, qp: QParam | None = None) -> complex:
+def gns_inner(u, v) -> complex:
     """Sesquilinear pairing h(u* v); accepts GNSVector or NCPolynomial.
 
     The sum, over the charge sectors that u and v share, of the dot
@@ -206,10 +188,10 @@ def gns_inner(u, v, qp: QParam | None = None) -> complex:
     pv = v.poly if isinstance(v, GNSVector) else v
     if pu.qp != pv.qp:
         raise ValueError("mixed deformation parameters")
-    qp = qp or pu.qp
-    _require_deformed(qp)
+    _require_deformed(pu.qp)
+    q = pu.qp.q
     shared = _charges(u) & _charges(v)
-    return _pair(_node_form(u, qp.q, shared), _node_form(v, qp.q, shared), qp.q)
+    return _pair(_node_form(u, q, shared), _node_form(v, q, shared), q)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +393,7 @@ def action_weights(a: NCPolynomial, c1) -> dict[tuple[int, int], np.ndarray]:
     return _charge_weights(a.terms, q, c1, 1.0 - q * q)
 
 
-def sector_pair(u, v, qp: QParam | None = None) -> complex:
+def sector_pair(u, v) -> complex:
     """GNS pairing of two single-sector elements, GNSVector or NCPolynomial.
 
     The same value as `gns_inner`; this entry point also checks that each
@@ -422,7 +404,7 @@ def sector_pair(u, v, qp: QParam | None = None) -> complex:
         charges = {m.charges for m in (w.poly if isinstance(w, GNSVector) else w).terms}
         if len(charges) != 1:
             raise ValueError(f"element spans several charge sectors: {sorted(charges)}")
-    return gns_inner(u, v, qp)
+    return gns_inner(u, v)
 
 
 def sector_moment(c1: int, c2: int, p: int, qp: QParam) -> float:

@@ -24,10 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .ncpoly import (
-    ALPHA, ALPHA_STAR, BETA, BETA_STAR, UNIT_MONOMIAL,
-    NCPolynomial, QParam, mul,
-)
+from .ncpoly import LETTERS, UNIT_MONOMIAL, NCPolynomial, QParam, mul
 
 __all__ = ["parse", "ParseError"]
 
@@ -47,63 +44,38 @@ class _Token:
     pos: int
 
 
-_GEN_MAP = {
-    "a": ALPHA, "α": ALPHA,
-    "a'": ALPHA_STAR, "α'": ALPHA_STAR,
-    "b": BETA, "β": BETA,
-    "b'": BETA_STAR, "β'": BETA_STAR,
-}
-
-_NUMBER_RE = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?")
+# One named group per token kind, tried in order after any whitespace; BAD
+# takes any other character.  Trailing whitespace matches nothing.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<GEN>[abαβ]'?)
+  | (?P<Q>q)
+  | (?P<IMAG>[ij])
+  | (?P<NUM>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<OP>[-+*])
+  | (?P<CARET>\^)
+  | (?P<LPAREN>\()
+  | (?P<RPAREN>\))
+  | (?P<BAD>\S)
+)""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "abαβ":
-            if i + 1 < n and text[i + 1] == "'":
-                tokens.append(_Token("GEN", _GEN_MAP[ch + "'"], i))
-                i += 2
-            else:
-                tokens.append(_Token("GEN", _GEN_MAP[ch], i))
-                i += 1
-            continue
-        if ch == "q":
-            tokens.append(_Token("Q", None, i))
-            i += 1
-            continue
-        if ch in "ij":
-            tokens.append(_Token("IMAG", None, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NUM", float(m.group(0)), i))
-            i = m.end()
-            continue
-        if ch in "+-*":
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        if ch == "^":
-            tokens.append(_Token("CARET", None, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", None, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("RPAREN", None, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", None, n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        lexeme, pos = m.group(kind), m.start(kind)
+        if kind == "GEN":
+            # LETTERS is (a, a*, b, b*)
+            tokens.append(_Token(kind, LETTERS[2 * (lexeme[0] in "bβ") + len(lexeme) - 1], pos))
+        elif kind == "NUM":
+            tokens.append(_Token(kind, float(lexeme), pos))
+        elif kind == "OP":
+            tokens.append(_Token(kind, lexeme, pos))
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {lexeme!r}", pos)
+        else:
+            tokens.append(_Token(kind, None, pos))
+    tokens.append(_Token("END", None, len(text)))
     return tokens
 
 

@@ -60,7 +60,7 @@ __all__ = [
 
 
 class GradingError(ValueError):
-    """The supplied bidegree grading is not a group homomorphism to Z_2."""
+    """Total parity is not defined on the mod-N bidegrees of an odd-N model."""
 
 
 @dataclass(frozen=True)
@@ -372,50 +372,31 @@ def verify_lemma_b(x, y, model: TorusModel) -> float:
     return worst
 
 
-def _normalize_grading(grading, model: TorusModel):
-    """Accept (g1, g2) weights or a callable; return a validated callable."""
-    if grading is None:
-        grading = (1, 1)
-    if isinstance(grading, tuple):
-        g1, g2 = int(grading[0]) % 2, int(grading[1]) % 2
-
-        def gr(n1, n2):
-            return (g1 * n1 + g2 * n2) % 2
-    else:
-        gr = lambda n1, n2: int(grading(n1, n2)) % 2
-        g1, g2 = gr(1, 0), gr(0, 1)
-    # homomorphism check over a generating window
-    for a1 in range(-2, 3):
-        for a2 in range(-2, 3):
-            if gr(a1, a2) != (g1 * a1 + g2 * a2) % 2:
-                raise GradingError("grading is not additive on bidegrees")
-    if model.exact and ((g1 * model.n) % 2 or (g2 * model.n) % 2):
+def _require_parity(model: TorusModel) -> None:
+    """Refuse an exact model of odd order: there n1 + n2 mod N has no parity."""
+    if model.exact and model.n % 2:
         raise GradingError(
             f"grading incompatible with mod-{model.n} degrees (N must be even)")
-    return gr
 
 
-def z2_twist_project(op: BigradedOp, grading=None, model: TorusModel | None = None) -> BigradedOp:
-    """Keep the even-graded components, zero the odd ones.
-
-    The grading must be a homomorphism Z^2 -> Z_2 on bidegrees (default:
-    total parity).  The projected set is closed under the star product since
-    gradings add along it.
-    """
+def z2_twist_project(op: BigradedOp, model: TorusModel | None = None) -> BigradedOp:
+    """Keep the components of even total parity (n1 + n2) mod 2, zero the odd
+    ones.  The projected set is closed under the star product since
+    bidegrees add along it."""
     op = decompose(op, model)
-    gr = _normalize_grading(grading, op.model)
-    comps = {deg: comp for deg, comp in op.components.items() if gr(*deg) == 0}
+    _require_parity(op.model)
+    comps = {deg: comp for deg, comp in op.components.items() if sum(deg) % 2 == 0}
     return BigradedOp(op.model, comps)
 
 
 def twisted_triple_check(model: TorusModel, d_matrix=None,
-                         grading=None, tol: float = 1e-13) -> list[CheckResult]:
+                         tol: float = 1e-13) -> list[CheckResult]:
     """Condition checks for the twisted geometry on the cyclic model.
 
     Verifies, for every homogeneous component a of the two generators:
     [D, l(a)] = l([D, a]) (D torus-invariant, bidegree (0,0)); that the
     sign grading fixes D; and that even-projected operators preserve the
-    even subspace of the grading unitary (-1)^(g1 p1 + g2 p2).  D defaults
+    even subspace of the grading unitary (-1)^(p1 + p2).  D defaults
     to p1 + p2; a dense or bigraded D may be supplied.
     """
     if d_matrix is None:
@@ -448,9 +429,8 @@ def twisted_triple_check(model: TorusModel, d_matrix=None,
     checks.append(CheckResult("[D, l(a)] = l([D, a])", worst <= tol,
                               "all homogeneous generator components", tol, worst))
 
-    gr = _normalize_grading(grading, model)
-    g1, g2 = gr(1, 0), gr(0, 1)
-    w_diag = np.where((g1 * model.p_index(1) + g2 * model.p_index(2)) % 2, -1.0, 1.0)
+    _require_parity(model)
+    w_diag = np.where((model.p_index(1) + model.p_index(2)) % 2, -1.0, 1.0)
     d_equiv = 0.0
     for deg, w in d_big.components.items():
         flipped = (_gather(w_diag, model.targets(*deg)) * w) * w_diag
@@ -460,13 +440,13 @@ def twisted_triple_check(model: TorusModel, d_matrix=None,
 
     worst_leak = 0.0
     for gen in model.generators().values():
-        proj = z2_twist_project(gen, grading)
+        proj = z2_twist_project(gen)
         for deg, w in _twist(proj, left=True).components.items():
             # entries from an even source to an odd target
             leaks = (w_diag > 0) & (_gather(w_diag, model.targets(*deg)) < 0)
             worst_leak = max(worst_leak, float(np.max(np.abs(w[leaks]), initial=0.0)))
         sq = star_product(proj, proj)
-        odd_left = {deg for deg in sq.degrees() if gr(*deg) != 0}
+        odd_left = {deg for deg in sq.degrees() if sum(deg) % 2}
         if odd_left:
             worst_leak = max(worst_leak, 1.0)
     checks.append(CheckResult("even projection preserves even subspace", worst_leak == 0.0,

@@ -155,13 +155,12 @@ def apply_poly_to_columns(x: NCPolynomial, t: TruncationSpec, cols: np.ndarray) 
     return _apply_words([(c, mon.letters()) for mon, c in x.terms.items()], t, x.qp, cols)
 
 
-def represent(x: NCPolynomial, t: TruncationSpec, qp: QParam | None = None) -> np.ndarray:
+def represent(x: NCPolynomial, t: TruncationSpec) -> np.ndarray:
     """Dense matrix of an element, bitwise equal to the sum over its monomials
     of c * (1 @ M_1 @ ... @ M_n) in the generator matrices M."""
-    qp = qp or x.qp
     out = np.zeros((t.dim, t.dim), dtype=complex)
     index = np.arange(t.dim).reshape(t.fock_dim, t.z_count)
-    shifts = _word_shifts([mon.letters() for mon in x.terms], t, qp)
+    shifts = _word_shifts([mon.letters() for mon in x.terms], t, x.qp)
     for c, d_fock, d_z, f, lo, hi in zip(x.terms.values(), *shifts):
         fs, ft = _span(t.fock_dim, d_fock)
         # complex weights, so c * w is the complex product the dense c * acc forms

@@ -134,29 +134,17 @@ def _pi_entries(a: NCPolynomial, basis: GNSBasis, cols: np.ndarray):
     return tuple(map(np.concatenate, zip(*out)))
 
 
-def _positions(basis: GNSBasis, labels) -> np.ndarray:
-    """Per label index of the basis, its position in ``labels``, or -1."""
-    index = {lab: i for i, lab in enumerate(basis.labels())}
-    pos = np.full(len(index), -1)
-    pos[[index[lab] for lab in labels]] = np.arange(len(labels))
-    return pos
-
-
-def pi_matrix(a: NCPolynomial, basis: GNSBasis,
-              row_labels=None, col_labels=None) -> np.ndarray:
+def pi_matrix(a: NCPolynomial, basis: GNSBasis) -> np.ndarray:
     """Matrix of left multiplication by ``a`` in the orthonormal basis.
 
-    Entry (r, c) is <e_r, a e_c>: the dense view of the sector blocks of
+    Entry (r, c) is <e_r, a e_c>, rows and columns in the order of
+    ``basis.labels()``: the dense view of the sector blocks of
     `_pi_entries`; charge-incompatible blocks vanish and are never formed.
     A basis at another q than a's raises ValueError.
     """
-    rows = list(row_labels if row_labels is not None else basis.labels())
-    cols = list(col_labels if col_labels is not None else basis.labels())
     r, c, v = _pi_entries(a, basis, basis.depths)
-    r, c = _positions(basis, rows)[r], _positions(basis, cols)[c]
-    keep = (r >= 0) & (c >= 0)
-    mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    mat[r[keep], c[keep]] = v[keep]
+    mat = np.zeros((len(basis.label_array),) * 2, dtype=complex)
+    mat[r, c] = v
     return mat
 
 
@@ -376,8 +364,11 @@ def aggregate_spectrum(rows) -> list[dict]:
     return [{"eig": e, "mult": m} for e, m in sorted(acc.items())]
 
 
-def assemble_unoriented_triple(lmax2: int, qp: QParam, seed: int = 0,
-                               n_random: int = 20) -> dict:
+# Random elements drawn for each sampled check of `assemble_unoriented_triple`.
+_N_RANDOM = 20
+
+
+def assemble_unoriented_triple(lmax2: int, qp: QParam, seed: int = 0) -> dict:
     """Build the restricted triple and run the defining condition checks.
 
     Returns {"checks": [CheckResult...], "spectrum": rows, "restricted":
@@ -400,27 +391,27 @@ def assemble_unoriented_triple(lmax2: int, qp: QParam, seed: int = 0,
                               "diagonal parity vs diagonal D", 0.0, float(comm)))
 
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         x = random_polynomial(rng, qp, max_degree=4, n_terms=3)
         y = random_polynomial(rng, qp, max_degree=4, n_terms=3)
         lhs = gns_inner(z2_act(x), z2_act(y))
         rhs = gns_inner(x, y)
         worst = max(worst, abs(lhs - rhs))
     checks.append(CheckResult("g unitary on GNS pairing", worst <= 1e-12,
-                              f"{n_random} random pairs", 1e-12, worst))
+                              f"{_N_RANDOM} random pairs", 1e-12, worst))
 
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         a = random_polynomial(rng, qp, max_degree=4, n_terms=3, parity="even")
         vec_label = rng.choice([lab for lab in labels if lab[0] % 2 == 0])
         product = mul(a, basis.entries[vec_label].poly)
         odd_part = z2_project(product, "odd")
         worst = max(worst, max((abs(c) for c in odd_part.terms.values()), default=0.0))
     checks.append(CheckResult("even algebra preserves even subspace", worst == 0.0,
-                              f"{n_random} random even elements on even vectors", 0.0, worst))
+                              f"{_N_RANDOM} random even elements on even vectors", 0.0, worst))
 
     fixed_ok = True
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         a = random_polynomial(rng, qp, max_degree=4, n_terms=4)
         even = z2_project(a, "even")
         if z2_act(even) != even:

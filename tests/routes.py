@@ -89,7 +89,7 @@ def t_matrix(l, j, k, qp: QParam) -> GNSVector:
     l2, j2, k2 = halfint(l).twice, halfint(j).twice, halfint(k).twice
     c1, c2 = sector_of_label(j2, k2)
     vec = matrix_coefficient_series(c1, c2, (l2 - max(abs(j2), abs(k2))) // 2, qp)
-    nrm = math.sqrt(sector_pair(vec, vec, qp).real)
+    nrm = math.sqrt(sector_pair(vec, vec).real)
     return GNSVector(_sign_fix(vec * (1.0 / nrm)))
 
 
@@ -204,7 +204,7 @@ def matrix_coefficient_defect(basis) -> float:
     worst = 0.0
     for (l2, j2, k2) in basis.labels():
         tvec = gns.t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), basis.qp)
-        worst = max(worst, 1.0 - abs(sector_pair(tvec, basis.entries[(l2, j2, k2)], basis.qp)))
+        worst = max(worst, 1.0 - abs(sector_pair(tvec, basis.entries[(l2, j2, k2)])))
     return worst
 
 

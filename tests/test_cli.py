@@ -110,11 +110,35 @@ class TestConfig:
         # a NaN tolerance fails its check and inf passes every one; neither is JSON
         ["gns", "--tol", "orthonormality=nan"],
         ["relations", "--tol", "relations=inf"],
+        # the relation residuals are read on an interior window, margin >= 1
+        ["relations", "--margin", "0"],
+        ["relations", "--margin", "-3"],
     ])
     def test_user_error_exits_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "a"],
+        ["verify", "deform"],
+        ["dump-matrix", "a", "--format", "bin"],
+    ])
+    def test_unwritable_out_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        for out in (tmp_path / "missing" / "x", tmp_path):
+            code, stdout, err = run(capsys, *argv, "--out", str(out))
+            assert code == 2 and stdout == ""
+            assert err.startswith(f"configuration error: cannot write --out {out}: ")
+            assert err.count("\n") == 1
+
+    def test_failed_write_to_an_opened_out_is_not_a_config_error(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        def disk_full(mat, path, fmt):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(rep, "save_matrix", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            main(["dump-matrix", "a", "--out", str(tmp_path / "m.json")])
+        assert "configuration error" not in capsys.readouterr().err
 
     def test_internal_value_error_is_not_a_config_error(self, capsys, monkeypatch):
         def broken(cfg):

@@ -74,7 +74,6 @@ class TestHalfInt:
     def test_representation(self):
         assert str(HalfInt(3)) == "3/2"
         assert str(HalfInt(4)) == "2"
-        assert HalfInt(4).is_integer and not HalfInt(3).is_integer
 
     def test_coercion(self):
         assert halfint(2) == HalfInt(4)
@@ -82,10 +81,6 @@ class TestHalfInt:
         assert halfint(HalfInt(1)) == HalfInt(1)
         with pytest.raises(ValueError):
             halfint(0.3)
-
-    def test_arithmetic(self):
-        assert HalfInt(3) + HalfInt(1) == HalfInt(4)
-        assert (HalfInt(3) - 1).twice == 1
 
 
 class TestHaarExact:
@@ -654,7 +649,7 @@ class TestMatrixCoefficients:
         basis = gram_schmidt_basis(8, qp)
         for (l2, j2, k2), entry in basis.entries.items():
             tv = t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp)
-            assert 1.0 - abs(gns.sector_pair(tv, entry, qp)) <= 1e-12, (q, l2, j2, k2)
+            assert 1.0 - abs(gns.sector_pair(tv, entry)) <= 1e-12, (q, l2, j2, k2)
 
     def test_pairing_degree_cap(self, qp):
         # depth 17 in the charge-(0,0) sector: the self-pairing has degree 68
@@ -699,7 +694,7 @@ class TestMatrixCoefficients:
         basis = gram_schmidt_basis(6, qp_any)
         for (l2, j2, k2) in basis.labels():
             tv = t_matrix(HalfInt(l2), HalfInt(j2), HalfInt(k2), qp_any)
-            ov = abs(sector_pair(tv, basis.entries[(l2, j2, k2)], qp_any))
+            ov = abs(sector_pair(tv, basis.entries[(l2, j2, k2)]))
             assert ov >= 1.0 - 1e-12
 
     def test_sector_pair_matches_engine_on_moderate_sectors(self):

@@ -1,7 +1,7 @@
 import pytest
 
-from qtriple.grammar import ParseError, parse
-from qtriple.ncpoly import CanonicalMonomial, NCPolynomial
+from qtriple.grammar import ParseError, _tokenize, parse
+from qtriple.ncpoly import ALPHA, ALPHA_STAR, BETA, BETA_STAR, CanonicalMonomial, NCPolynomial
 
 
 def mono(qp, a, b, bs, c=1.0):
@@ -82,3 +82,34 @@ def test_exponent_overflow(qp):
 def test_fractional_exponent_rejected(qp):
     with pytest.raises(ParseError):
         parse("b^1.5", qp)
+
+
+# (kind, value, position) of every token, END included
+@pytest.mark.parametrize("text, tokens", [
+    ("α", [("GEN", ALPHA, 0), ("END", None, 1)]),
+    ("β'", [("GEN", BETA_STAR, 0), ("END", None, 2)]),
+    ("a'b'", [("GEN", ALPHA_STAR, 0), ("GEN", BETA_STAR, 2), ("END", None, 4)]),
+    ("2ab^2", [("NUM", 2.0, 0), ("GEN", ALPHA, 1), ("GEN", BETA, 2), ("CARET", None, 3),
+               ("NUM", 2.0, 4), ("END", None, 5)]),
+    ("2.", [("NUM", 2.0, 0), ("END", None, 2)]),
+    (".5e-3", [("NUM", 0.0005, 0), ("END", None, 5)]),
+    ("1e5", [("NUM", 100000.0, 0), ("END", None, 3)]),
+    ("q^-1", [("Q", None, 0), ("CARET", None, 1), ("OP", "-", 2), ("NUM", 1.0, 3),
+              ("END", None, 4)]),
+    ("1 + 2j", [("NUM", 1.0, 0), ("OP", "+", 2), ("NUM", 2.0, 4), ("IMAG", None, 5),
+                ("END", None, 6)]),
+])
+def test_tokens(text, tokens):
+    assert [(t.kind, t.value, t.pos) for t in _tokenize(text)] == tokens
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("a + $", "unexpected character '$' (at position 4)", 4),
+    (".", "unexpected character '.' (at position 0)", 0),
+    ("1e", "unexpected character 'e' (at position 1)", 1),
+    ("x", "unexpected character 'x' (at position 0)", 0),
+])
+def test_token_errors(text, message, position):
+    with pytest.raises(ParseError) as err:
+        _tokenize(text)
+    assert str(err.value) == message and err.value.position == position

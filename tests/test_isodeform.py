@@ -345,17 +345,11 @@ class TestZ2Projection:
                 prod = star_product(x, y)
                 assert all((n1 + n2) % 2 == 0 for (n1, n2) in prod.degrees())
 
-    def test_non_homomorphic_grading_rejected(self):
-        m = build_model(4, Fraction(1, 4))
-        op = decompose(m.clock, m)
-        with pytest.raises(GradingError):
-            z2_twist_project(op, grading=lambda n1, n2: 1 if n1 == 1 else 0)
-
     def test_odd_order_cyclic_model_rejects_parity(self):
         m = build_model(3, Fraction(1, 3))
         op = decompose(m.clock, m)
         with pytest.raises(GradingError):
-            z2_twist_project(op, grading=(1, 1))
+            z2_twist_project(op)
 
 
 class TestTwistedTriple:
