@@ -3,9 +3,10 @@
 The invariant state has the diagonal closed form
 
     h(a^s b^n b*^m) = 0                       unless s = 0 and n = m,
-    h((b b*)^n)     = (1 - q^2) / (1 - q^(2(n+1))),
+    h((b b*)^n)     = (1 - q^2) / (1 - q^(2(n+1))) = 1 / sum_{i <= n} q^(2i),
 
-i.e. a Jackson integral in the variable x = b b*.  The factor (1 - q^2)
+i.e. a Jackson integral in the variable x = b b*; the sum is the form
+evaluated, as the quotient loses digits near q = 1.  The factor (1 - q^2)
 normalizes h(1) = 1 (the bare diagonal sum gives 1/(1 - q^2)); this
 normalization choice is deliberate and is what every value below assumes.
 
@@ -33,17 +34,17 @@ Stieltjes), orthonormal to rounding at every depth, and `GNSBasis` is its
 output array: vectors[depth, sector, node].  Labels (l, j, k) attach to
 sectors through c1 = -(j+k), c2 = k - j, with l - max(|j|, |k|) counting
 depth inside the sector, so every entry lives in its label's sector by
-construction; the meter, the operator layer and the parity and
-matrix-coefficient checks read the sector blocks of that array.  The
-orthogonal polynomials are little q-Jacobi polynomials in base q^2 with
+construction; the meter, the operator layer, the restricted triple and the
+parity and matrix-coefficient checks read the sector blocks of that array.
+The orthogonal polynomials are little q-Jacobi polynomials in base q^2 with
 parameters a = q^(2|c2|), b = q^(2|c1|) and, on the c1 > 0 branch, the
 argument rescaled by q^(-2 c1) (a*^k a^k = prod (1 - q^(-2i) x) kills the
 first k nodes).  Their closed-form series gives the x-coefficients of the
-basis, built per label when its entry is read, and of `t_matrix` (printing
-and algebra checks; they cancel in deep sectors).  The matrix
-coefficients' node vectors come from a terminating 3phi1 transformation
-that does not cancel at small q, evaluated for all sectors of one depth at
-once.
+basis, built for every label when the entries are first read, and of
+`t_matrix`: they serve printing and algebra products, cancel in deep
+sectors, and no `verify` suite reads them.  The matrix coefficients' node
+vectors come from a terminating 3phi1 transformation that does not cancel
+at small q, evaluated for all sectors of one depth at once.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ _RESIDUAL_FLOOR = 1e-150
 def _haar_monomial(mon: CanonicalMonomial, q: float) -> float:
     if mon.alpha != 0 or mon.beta != mon.beta_star:
         return 0.0
-    n = mon.beta
-    return (1.0 - q * q) / (1.0 - q ** (2 * (n + 1)))
+    # smallest term first; every term is positive, so nothing cancels
+    return 1.0 / sum(q ** (2 * i) for i in range(mon.beta, -1, -1))
 
 
 def _require_deformed(qp: QParam):
@@ -510,18 +511,20 @@ class GNSBasis:
         return MappingProxyType(dict(zip(self._labels, self.depth_norms[depth, sector].tolist())))
 
     @cached_property
-    def _slots(self) -> dict[tuple[int, int, int], tuple[int, int]]:
-        """Per sorted label, its (depth, sector index)."""
-        return dict(zip(self._labels, zip(self.label_depth.tolist(), self.label_sector.tolist())))
-
-    @cached_property
-    def entries(self) -> "_Entries":
+    def entries(self) -> MappingProxyType:
         """Per label, its GNSVector: the node vector, and as x-coefficients the
         closed-form series with leading coefficient 1 / norm > 0 (real parts
-        only, so every imaginary part stays +0.0).  A read-only mapping that
-        builds each label's entry on its first read, for printing and
-        algebra products."""
-        return _Entries(self)
+        only, so every imaginary part stays +0.0).  Built for every label on
+        the first read, for printing and algebra products."""
+        out = {}
+        for key, d, i in zip(self._labels, self.label_depth.tolist(), self.label_sector.tolist()):
+            c1, c2 = self.sectors[i]
+            series = _matrix_coefficient_series(c1, c2, d, self.qp).terms
+            lead = series[_sector_base_monomial(c1, c2, d)].real
+            scale = 1.0 / (lead * self.depth_norms[d, i])
+            poly = NCPolynomial(self.qp, {m: c.real * scale for m, c in series.items()})
+            out[key] = GNSVector(poly, {(c1, c2): self.vectors[d, i]})
+        return MappingProxyType(out)
 
     def to_json_dict(self) -> dict:
         return {
@@ -533,36 +536,6 @@ class GNSBasis:
                 for (l2, j2, k2) in self.labels()
             ],
         }
-
-
-class _Entries(Mapping):
-    """`GNSBasis.entries`.  It holds the basis's fields, not the basis, so
-    that no reference cycle keeps a dropped basis alive."""
-
-    def __init__(self, basis: GNSBasis):
-        self._qp, self._sectors, self._slots = basis.qp, basis.sectors, basis._slots
-        self._vectors, self._depth_norms = basis.vectors, basis.depth_norms
-        self._built: dict[tuple[int, int, int], GNSVector] = {}
-
-    def __getitem__(self, key) -> GNSVector:
-        if key not in self._built:
-            d, i = self._slots[key]
-            c1, c2 = self._sectors[i]
-            series = _matrix_coefficient_series(c1, c2, d, self._qp).terms
-            lead = series[_sector_base_monomial(c1, c2, d)].real
-            scale = 1.0 / (lead * self._depth_norms[d, i])
-            poly = NCPolynomial(self._qp, {m: c.real * scale for m, c in series.items()})
-            self._built[key] = GNSVector(poly, {(c1, c2): self._vectors[d, i]})
-        return self._built[key]
-
-    def __contains__(self, key) -> bool:
-        return key in self._slots
-
-    def __iter__(self):
-        return iter(self._slots)
-
-    def __len__(self) -> int:
-        return len(self._slots)
 
 
 def _phase(p: NCPolynomial) -> complex:

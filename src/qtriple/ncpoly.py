@@ -295,8 +295,9 @@ class NCPolynomial:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict, qp: QParam | None = None) -> "NCPolynomial":
-        qp = qp or QParam(float(data["q"]))
+    def from_json_dict(cls, data: dict) -> "NCPolynomial":
+        """Inverse of `to_json_dict`, at the q the data names."""
+        qp = QParam(float(data["q"]))
         terms = {}
         for t in data["terms"]:
             mon = CanonicalMonomial(int(t["a"]), int(t["b"]), int(t["bs"]))

@@ -16,6 +16,7 @@ identities, and produces spectrum tables and commutator-norm evidence.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .gns import (
     GNSBasis, HalfInt, _sector_base_monomial, action_weights, gns_inner, gram_schmidt_basis,
     halfint,
 )
-from .report import CheckResult, all_passed
+from .report import CheckResult
 
 __all__ = [
     "DiracSpec", "CoveringCert", "check_parity",
@@ -73,17 +74,24 @@ def dirac_labels(lmax2: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _sector_signs(qp: QParam, sectors) -> np.ndarray:
+    """g on each charge sector (c1, c2): the coefficient that `z2_act` gives
+    the sector's base monomial.  The sector's other monomials are that one
+    times a polynomial in x = b b*, which g fixes, so g scales its node
+    vectors by this sign."""
+    bases = [_sector_base_monomial(c1, c2, 0) for c1, c2 in sectors]
+    flipped = z2_act(NCPolynomial(qp, dict.fromkeys(bases, 1.0)))
+    return np.array([flipped.coeff(m).real for m in bases])
+
+
 def check_parity(basis: GNSBasis, tol: float = 0.0) -> list[CheckResult]:
     """Assert g e^(l)_{jk} = (-1)^(2l) e^(l)_{jk} on the node array, per label.
 
-    An entry of sector (c1, c2) is its base monomial times a polynomial in
-    x = b b*, which g fixes, so g scales the sector's node vectors by the
-    coefficient `z2_act` gives its base monomial.  The defect is
-    max |g e - (-1)^(2l) e| over the entry's nodes, and passes at most ``tol``.
+    g scales each sector's node vectors by its `_sector_signs` entry.  The
+    defect is max |g e - (-1)^(2l) e| over the entry's nodes, and passes at
+    most ``tol``.
     """
-    bases = [_sector_base_monomial(c1, c2, 0) for c1, c2 in basis.sectors]
-    flipped = z2_act(NCPolynomial(basis.qp, dict.fromkeys(bases, 1.0)))
-    sign = np.array([flipped.coeff(m).real for m in bases])[basis.label_sector]
+    sign = _sector_signs(basis.qp, basis.sectors)[basis.label_sector]
     expected = np.where(basis.label_array[:, 0] % 2, -1.0, 1.0)
     size = np.abs(basis.vectors).max(axis=2)[basis.label_depth, basis.label_sector]
     out = []
@@ -356,14 +364,6 @@ def spectrum_rows(lmax2: int, sector: str) -> list[dict]:
     return rows
 
 
-def aggregate_spectrum(rows) -> list[dict]:
-    """Collapse rows to {"eig", "mult"} pairs, eigenvalues ascending."""
-    acc: dict[int, int] = {}
-    for r in rows:
-        acc[r["eig"]] = acc.get(r["eig"], 0) + r["mult"]
-    return [{"eig": e, "mult": m} for e, m in sorted(acc.items())]
-
-
 # Random elements drawn for each sampled check of `assemble_unoriented_triple`.
 _N_RANDOM = 20
 
@@ -371,21 +371,22 @@ _N_RANDOM = 20
 def assemble_unoriented_triple(lmax2: int, qp: QParam, seed: int = 0) -> dict:
     """Build the restricted triple and run the defining condition checks.
 
-    Returns {"checks": [CheckResult...], "spectrum": rows, "restricted":
-    rows}.  Checked: (i) the parity operator commutes with D exactly,
-    (ii) the sign flip preserves the GNS pairing, (iii) even elements
-    preserve the even subspace (parities multiply), (iv) even elements are
-    exactly the sign-flip fixed points at the polynomial level, (v) the
-    restriction to the fixed subspace only carries odd eigenvalues.
+    g is `_sector_signs` on the node array.  Returns {"checks":
+    [CheckResult...], "restricted": rows}, the rows {"eig", "mult"} of D on
+    g's +1 eigenspace, eigenvalues ascending.  Checked: (i) g commutes with
+    D, (ii) the sign flip preserves the GNS pairing, (iii) pi of an even
+    element maps an even-l basis vector into the sectors where g = +1,
+    (iv) even elements are exactly the sign-flip fixed points at the
+    polynomial level, (v) D on g's +1 eigenspace only carries odd
+    eigenvalues.
     """
     basis = gram_schmidt_basis(lmax2, qp)
     spec = DiracSpec(HalfInt(lmax2))
-    labels = basis.labels()
     rng = random.Random(seed)
     checks = []
 
-    d_diag = spec.diagonal(basis.label_array).astype(float)
-    g_diag = np.array([spec.parity(HalfInt(l2)) for (l2, _, _) in labels], dtype=float)
+    d_diag = spec.diagonal(basis.label_array)
+    g_diag = _sector_signs(qp, basis.sectors)[basis.label_sector]
     comm = np.max(np.abs(g_diag * d_diag - d_diag * g_diag))
     checks.append(CheckResult("g commutes with D", comm == 0.0,
                               "diagonal parity vs diagonal D", 0.0, float(comm)))
@@ -400,13 +401,20 @@ def assemble_unoriented_triple(lmax2: int, qp: QParam, seed: int = 0) -> dict:
     checks.append(CheckResult("g unitary on GNS pairing", worst <= 1e-12,
                               f"{_N_RANDOM} random pairs", 1e-12, worst))
 
-    worst = 0.0
+    # pi(a) e per charge shift of a: the image sector and its largest node
+    # value, the action weights times e's node vector
+    even_labels = np.flatnonzero(basis.label_array[:, 0] % 2 == 0).tolist()
+    images, sizes = [], []
     for _ in range(_N_RANDOM):
         a = random_polynomial(rng, qp, max_degree=4, n_terms=3, parity="even")
-        vec_label = rng.choice([lab for lab in labels if lab[0] % 2 == 0])
-        product = mul(a, basis.entries[vec_label].poly)
-        odd_part = z2_project(product, "odd")
-        worst = max(worst, max((abs(c) for c in odd_part.terms.values()), default=0.0))
+        label = rng.choice(even_labels)
+        depth, sector = basis.label_depth[label], basis.label_sector[label]
+        c1, c2 = basis.sectors[sector]
+        for (k, d), w in action_weights(a, c1).items():
+            images.append((c1 + k, c2 + d))
+            sizes.append(float(np.abs(w * basis.vectors[depth, sector]).max()))
+    worst = max((size for size, g in zip(sizes, _sector_signs(qp, images)) if g < 0),
+                default=0.0)
     checks.append(CheckResult("even algebra preserves even subspace", worst == 0.0,
                               f"{_N_RANDOM} random even elements on even vectors", 0.0, worst))
 
@@ -422,15 +430,11 @@ def assemble_unoriented_triple(lmax2: int, qp: QParam, seed: int = 0) -> dict:
                               "polynomial-level identification", 0.0,
                               0.0 if fixed_ok else 1.0))
 
-    restricted = spectrum_rows(lmax2, "unoriented")
-    eigs_ok = all(r["eig"] % 2 != 0 for r in restricted)
+    restricted = [{"eig": e, "mult": m}
+                  for e, m in sorted(Counter(d_diag[g_diag > 0].tolist()).items())]
+    eigs_ok = all(r["eig"] % 2 for r in restricted)
     checks.append(CheckResult("restricted spectrum odd integers only", eigs_ok,
                               "eigenvalues +-(2l+1), l integer", None,
                               0.0 if eigs_ok else 1.0))
 
-    return {
-        "checks": checks,
-        "all_pass": all_passed(checks),
-        "spectrum": spectrum_rows(lmax2, "oriented"),
-        "restricted": restricted,
-    }
+    return {"checks": checks, "restricted": restricted}

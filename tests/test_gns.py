@@ -92,6 +92,15 @@ class TestHaarExact:
         expected = (1 - q * q) / (1 - q ** 4)
         assert haar_exact(parse("b b'", qp)) == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("q", [0.02, 0.5, 0.9, 0.999, 0.9999])
+    def test_bb_star_powers_against_exact_rationals(self, q):
+        # h((bb*)^n) = 1 / sum_{i <= n} q^(2i) in exact rationals of the float
+        # q; the quotient (1 - q^2) / (1 - q^(2(n+1))) is 1.8e-13 off at q = 0.9999
+        qp = QParam(q)
+        for n in range(7):
+            exact = 1 / sum(Fraction(q) ** (2 * i) for i in range(n + 1))
+            assert abs(haar_exact(mono(qp, 0, n, n)) - float(exact)) <= 1e-15, n
+
     def test_alpha_vanishes_against_numeric_oracle(self, qp):
         # the closed form says 0; the truncated diagonal sum must agree
         t = TruncationSpec(16, 8)
@@ -465,9 +474,10 @@ class TestGramSchmidt:
                 array[0] = 0
 
     def test_x_coefficients_are_built_only_when_read(self, monkeypatch, qp):
-        # the meter and the operator layer read the node array alone; the
-        # closed-form series runs when the entries are first read, and then
-        # scales by 1 / (leading coefficient x norm), real parts only
+        # the meter, the operator layer and the restricted triple read the
+        # node array alone; the closed-form series runs when the entries are
+        # first read, and then scales by 1 / (leading coefficient x norm),
+        # real parts only
         def refuse(*args):
             raise AssertionError("x-coefficients built")
 
@@ -480,6 +490,7 @@ class TestGramSchmidt:
         assert triple.commutator_norm_scan(x, qp, [4, 5, 6])[-1] > 0.0
         assert all(r.passed for r in triple.check_parity(basis))
         assert gns.matrix_coefficient_defect(basis) <= 1e-15
+        assert all(c.passed for c in triple.assemble_unoriented_triple(6, qp)["checks"])
         monkeypatch.undo()
         for (c1, c2), labels in sector_labels(6):
             i = basis.sectors.index((c1, c2))
@@ -491,8 +502,8 @@ class TestGramSchmidt:
                 assert same_bits(basis.entries[key].poly, want), key
 
     def test_entries_are_built_per_label(self, monkeypatch, qp):
-        # a fresh basis over the memoized arrays: each read builds one
-        # label's series, once; the mapping lists every label in order
+        # a fresh basis over the memoized arrays: the first read builds one
+        # series per label, once; the mapping lists every label in order
         calls = []
         true_series = gns._matrix_coefficient_series
         monkeypatch.setattr(gns, "_matrix_coefficient_series",
@@ -501,11 +512,11 @@ class TestGramSchmidt:
         basis = GNSBasis(qp, top.sectors, top.vectors, top.depth_norms)
         assert list(basis.entries) == basis.labels() and len(basis.entries) == 55
         entry = basis.entries[(3, 1, -1)]
-        assert basis.entries[(3, 1, -1)] is entry and calls == [(0, -1, 1, qp)]
+        assert basis.entries[(3, 1, -1)] is entry and (0, -1, 1, qp) in calls
         assert (3, -1, 1) in basis.entries and (5, 1, 1) not in basis.entries
         with pytest.raises(KeyError):
             basis.entries[(5, 1, 1)]
-        assert len(calls) == 1
+        assert len(calls) == 55
 
     def test_basis_memo_is_bounded(self):
         # near q = 1 a basis is large (120 MB at q = 0.999), so the memo
@@ -601,7 +612,7 @@ class TestGramSchmidt:
         assert [(e["l2"], e["j2"], e["k2"]) for e in data["entries"]] == basis.labels()
         for e in data["entries"]:
             key = (e["l2"], e["j2"], e["k2"])
-            assert NCPolynomial.from_json_dict(e["poly"], qp) == basis.entries[key].poly
+            assert NCPolynomial.from_json_dict(e["poly"]) == basis.entries[key].poly
             assert e["norm"] == basis.norms[key]
 
 
@@ -832,6 +843,16 @@ class TestVerifyGnsMutations:
         monkeypatch.setattr(gns, "_haar_monomial", lambda mon, q: true_haar(mon, q)
                             * (q if mon.beta > 3 else 1.0))
         assert failing_gns_checks("--q", "0.5") == ["haar (bb*)^n vs geometric series"]
+
+    def test_series_check_catches_the_quotient_near_q_one(self, monkeypatch):
+        # (1 - q^2) / (1 - q^(2(n+1))) cancels: at q = 0.9999 it is 1.8e-13
+        # from the exact rationals the check reads, above its 1e-14
+        assert failing_gns_checks("--q", "0.9999", "--lmax2", "2") == []
+        monkeypatch.setattr(gns, "_haar_monomial", lambda mon, q: (
+            (1.0 - q * q) / (1.0 - q ** (2 * (mon.beta + 1)))
+            if mon.alpha == 0 and mon.beta == mon.beta_star else 0.0))
+        assert failing_gns_checks("--q", "0.9999", "--lmax2", "2") == [
+            "haar (bb*)^n vs geometric series"]
 
     def test_orthonormality_check(self, monkeypatch):
         # no reorthogonalization pass: at q = 0.2 one sweep leaves 1.3e-9

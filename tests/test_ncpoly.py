@@ -501,7 +501,7 @@ class TestPolynomialBasics:
         data = x.to_json_dict()
         assert set(data) == {"q", "terms"}
         assert all(set(t) == {"a", "b", "bs", "re", "im"} for t in data["terms"])
-        back = NCPolynomial.from_json_dict(data, qp)
+        back = NCPolynomial.from_json_dict(data)
         assert back == x
 
     def test_monomial_is_the_tuple_of_its_exponents(self, qp):

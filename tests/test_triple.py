@@ -17,7 +17,7 @@ from qtriple.ncpoly import (
 from qtriple import cli, gns, triple
 from qtriple.gns import HalfInt, gram_schmidt_basis, sector_of_label
 from qtriple.triple import (
-    DiracSpec, aggregate_spectrum, assemble_unoriented_triple,
+    DiracSpec, assemble_unoriented_triple,
     certify_covering, check_parity, commutator_matrix, commutator_norm_scan,
     dirac_labels, hilbert_module_product, pi_matrix,
     spectrum_rows, summability_scan,
@@ -95,18 +95,15 @@ class TestParity:
                            for (l2, j2, k2) in (labels if flip == "negated" else odd_c1)}
 
     def test_checks_on_the_node_array_build_no_x_coefficients(self, monkeypatch):
-        # verify gns and verify parity read the node array alone; verify
-        # triple builds the entries of its 20 random even-subspace labels
+        # verify gns, verify parity and verify triple read the node array alone
         calls = []
         true_series = gns._matrix_coefficient_series
         monkeypatch.setattr(gns, "_matrix_coefficient_series",
                             lambda *args: calls.append(args) or true_series(*args))
         gram_schmidt_basis.cache_clear()
-        for suite, most in (("gns", 0), ("parity", 0), ("triple", 20)):
-            calls.clear()
+        for suite in ("gns", "parity", "triple"):
             assert run_verify(suite, "--q", "0.5", "--lmax2", "8")[0] == 0, suite
-            assert len(calls) <= most, suite
-        assert calls
+            assert calls == [], suite
 
 
 class TestCommutator:
@@ -409,7 +406,9 @@ class TestSpectrum:
             assert r["eig"] % 2 != 0
 
     def test_multiplicity_split(self):
-        agg = {d["eig"]: d["mult"] for d in aggregate_spectrum(spectrum_rows(4, "oriented"))}
+        agg = {}
+        for r in spectrum_rows(4, "oriented"):
+            agg[r["eig"]] = agg.get(r["eig"], 0) + r["mult"]
         # at l: -(2l+1) has multiplicity 2l+1, +(2l+1) has 2l(2l+1)
         assert agg[-5] == 5 and agg[5] == 20
         assert agg[-3] == 3 and agg[3] == 6
@@ -431,7 +430,7 @@ class TestSignFlipUnitarity:
 class TestAssembly:
     def test_report_all_pass(self, qp):
         result = assemble_unoriented_triple(4, qp, seed=0)
-        assert result["all_pass"]
+        assert all(c.passed for c in result["checks"])
         names = [c.name for c in result["checks"]]
         assert "g commutes with D" in names
         assert "restricted spectrum odd integers only" in names
@@ -444,5 +443,28 @@ class TestAssembly:
 
     def test_restricted_table(self, qp):
         result = assemble_unoriented_triple(4, qp, seed=0)
-        agg = {d["eig"]: d["mult"] for d in aggregate_spectrum(result["restricted"])}
-        assert agg == {-1: 1, -3: 3, 3: 6, -5: 5, 5: 20}
+        assert result["restricted"] == [{"eig": e, "mult": m} for e, m in
+                                        [(-5, 5), (-3, 3), (-1, 1), (3, 6), (5, 20)]]
+
+    @staticmethod
+    def failing_triple_checks():
+        code, report = run_verify("triple", "--q", "0.5", "--lmax2", "8")
+        failing = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert code == (1 if failing else 0)
+        return failing
+
+    def test_even_subspace_check_reads_pi_on_node_vectors(self, monkeypatch):
+        # pi(a) with every charge shifted by (0, 1): an even element then
+        # maps an even vector into the sectors where g = -1
+        assert "even algebra preserves even subspace" not in self.failing_triple_checks()
+        true_weights = triple.action_weights
+        monkeypatch.setattr(triple, "action_weights", lambda a, c1: {
+            (k, d + 1): w for (k, d), w in true_weights(a, c1).items()})
+        assert "even algebra preserves even subspace" in self.failing_triple_checks()
+
+    def test_restricted_spectrum_check_reads_d(self, monkeypatch):
+        # D = +-(l2 + 2): even eigenvalues on the integer-l labels
+        assert "restricted spectrum odd integers only" not in self.failing_triple_checks()
+        monkeypatch.setattr(triple.DiracSpec, "diagonal", lambda self, labels: np.where(
+            labels[:, 1] == labels[:, 0], -(labels[:, 0] + 2), labels[:, 0] + 2))
+        assert "restricted spectrum odd integers only" in self.failing_triple_checks()
