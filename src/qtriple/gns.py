@@ -34,8 +34,9 @@ Stieltjes), orthonormal to rounding at every depth, and `GNSBasis` is its
 output array: vectors[depth, sector, node].  Labels (l, j, k) attach to
 sectors through c1 = -(j+k), c2 = k - j, with l - max(|j|, |k|) counting
 depth inside the sector, so every entry lives in its label's sector by
-construction; the meter, the operator layer, the restricted triple and the
-parity and matrix-coefficient checks read the sector blocks of that array.
+construction; the meter, the restricted triple and the parity and
+matrix-coefficient checks read the sector blocks of that array (pi reads
+closed-form ladders on the labels, `triple._ladders`).
 The orthogonal polynomials are little q-Jacobi polynomials in base q^2 with
 parameters a = q^(2|c2|), b = q^(2|c1|) and, on the c1 > 0 branch, the
 argument rescaled by q^(-2 c1) (a*^k a^k = prod (1 - q^(-2i) x) kills the
@@ -482,16 +483,6 @@ class GNSBasis:
     def label_sector(self) -> np.ndarray:
         """Per sorted label, the index of its sector."""
         return self._layout[2]
-
-    @cached_property
-    def label_index(self) -> np.ndarray:
-        """Per (depth, sector index), the position of its label among the
-        sorted labels; -1 past the sector's depth count."""
-        _, depth, sector = self._layout
-        out = np.full(self.vectors.shape[:2], -1)
-        out[depth, sector] = np.arange(len(depth))
-        out.setflags(write=False)
-        return out
 
     @cached_property
     def _labels(self) -> tuple[tuple[int, int, int], ...]:

@@ -15,9 +15,11 @@ identities, and produces spectrum tables and commutator-norm evidence.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,8 +30,8 @@ from .ncpoly import (
     z2_act, z2_project,
 )
 from .gns import (
-    GNSBasis, HalfInt, _sector_base_monomial, action_weights, gns_inner, gram_schmidt_basis,
-    halfint,
+    GNSBasis, HalfInt, _require_deformed, _sector_base_monomial, action_weights, gns_inner,
+    gram_schmidt_basis, halfint,
 )
 from .report import CheckResult
 
@@ -43,20 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiracSpec:
-    """Eigenvalue data d(l, j) with the sign-flip parity decoration."""
+    """Eigenvalue data d(l, j) of the equivariant Dirac operator."""
 
     lmax: HalfInt
-
-    @property
-    def lmax2(self) -> int:
-        return self.lmax.twice
 
     def d(self, l, j) -> int:
         l2, j2 = halfint(l).twice, halfint(j).twice
         return -(l2 + 1) if j2 == l2 else l2 + 1
-
-    def parity(self, l) -> int:
-        return -1 if halfint(l).twice % 2 else 1
 
     def diagonal(self, labels: np.ndarray) -> np.ndarray:
         """d(l, j) for each row (l2, j2, k2) of an integer label array."""
@@ -65,13 +60,9 @@ class DiracSpec:
 
 
 def dirac_labels(lmax2: int) -> list[tuple[int, int, int]]:
-    """All (l2, j2, k2) with l <= lmax; (l2+1)^2 of them per l2."""
-    out = []
-    for l2 in range(lmax2 + 1):
-        for j2 in range(-l2, l2 + 1, 2):
-            for k2 in range(-l2, l2 + 1, 2):
-                out.append((l2, j2, k2))
-    return out
+    """All (l2, j2, k2) with l <= lmax, sorted; (l2+1)^2 of them per l2."""
+    return [(l2, j2, k2) for l2 in range(lmax2 + 1)
+            for j2 in range(-l2, l2 + 1, 2) for k2 in range(-l2, l2 + 1, 2)]
 
 
 def _sector_signs(qp: QParam, sectors) -> np.ndarray:
@@ -94,86 +85,112 @@ def check_parity(basis: GNSBasis, tol: float = 0.0) -> list[CheckResult]:
     sign = _sector_signs(basis.qp, basis.sectors)[basis.label_sector]
     expected = np.where(basis.label_array[:, 0] % 2, -1.0, 1.0)
     size = np.abs(basis.vectors).max(axis=2)[basis.label_depth, basis.label_sector]
-    out = []
-    for (l2, j2, k2), defect in zip(basis.labels(), (np.abs(sign - expected) * size).tolist()):
-        out.append(CheckResult(
-            name=f"parity l2={l2} j2={j2} k2={k2}",
-            passed=defect <= tol,
-            detail=f"(-1)^(2l) = {1 if l2 % 2 == 0 else -1}",
-            tolerance=tol,
-            value=defect,
-        ))
+    return [CheckResult(f"parity l2={l2} j2={j2} k2={k2}", defect <= tol,
+                        f"(-1)^(2l) = {1 if l2 % 2 == 0 else -1}", tol, defect)
+            for (l2, j2, k2), defect in zip(basis.labels(),
+                                            (np.abs(sign - expected) * size).tolist())]
+
+
+def _label_count(l2):
+    """How many labels have a smaller l2: the sum of (m + 1)^2 over m < l2."""
+    return l2 * (l2 + 1) * (2 * l2 + 1) // 6
+
+
+def _position(l2, j2, k2):
+    """The place of label (l2, j2, k2) in `dirac_labels` order."""
+    return _label_count(l2) + (j2 + l2) // 2 * (l2 + 1) + (k2 + l2) // 2
+
+
+def _generator_entries(gen: int, up: bool, labels: np.ndarray, f: np.ndarray,
+                       power: np.ndarray) -> np.ndarray:
+    """pi(a) (``gen`` ALPHA) or pi(b) (BETA) from each column (l2, j2, k2) of
+    ``labels`` one level up or down: a q-power (table ``power``) times the
+    square root of a ratio of f(m) = 1 - q^(2m) (table ``f``), exact to a few
+    ulps.  pi(b) is pi(a) with k reflected, but for its q-power and sign:
+    pi(a) is negative up where c1 = -(j + k) < 0 and down where c1 >= 0."""
+    l2, j2, k2 = labels
+    k2 = k2 if gen == ALPHA else -k2
+    lj, lk, mj, mk = (l2 + j2) // 2, (l2 + k2) // 2, (l2 - j2) // 2, (l2 - k2) // 2
+    root = np.sqrt(f[mj + 1] * f[mk + 1] / (f[l2 + 1] * f[l2 + 2]) if up
+                   else f[lj] * f[lk] / (f[l2] * f[l2 + 1]))
+    if gen == BETA:
+        return power[lj if up else mk] * root
+    return np.where((j2 + k2 > 0) == up, -1.0, 1.0) * (power[lj + lk + 1] if up else 1.0) * root
+
+
+@lru_cache(maxsize=8)
+def _ladders(lmax2: int, q: float) -> dict:
+    """Per letter, its two steps over the labels of `dirac_labels(lmax2)`:
+    per label, the target position (-1 where the step leaves the labels) and
+    the entry.  a and b step (l2, j2, k2) by (+-1, -1, -1) and (+-1, -1, +1);
+    a* and b*, their transposes, take those steps backwards.  Read-only."""
+    labels = np.array(dirac_labels(lmax2)).T
+    n = labels.shape[1]
+    f = np.array([-math.expm1(2 * m * math.log(q)) for m in range(lmax2 + 3)])
+    power = np.array([q ** m for m in range(2 * lmax2 + 2)])
+    out = {ALPHA: [], ALPHA_STAR: [], BETA: [], BETA_STAR: []}
+    for gen, star, dk in ((ALPHA, ALPHA_STAR, -1), (BETA, BETA_STAR, 1)):
+        for up in (True, False):
+            target = labels + np.array([[1 if up else -1], [-1], [dk]])
+            src = np.flatnonzero((target[0] <= lmax2) & (np.abs(target[1:]) <= target[0]).all(0))
+            (pos, back), (val, back_val) = np.full((2, n), -1), np.zeros((2, n))
+            pos[src] = _position(*target[:, src])
+            val[src] = _generator_entries(gen, up, labels[:, src], f, power)
+            back[pos[src]], back_val[pos[src]] = src, val[src]
+            for arr in (pos, val, back, back_val):
+                arr.setflags(write=False)
+            out[gen].append((pos, val))
+            out[star].append((back, back_val))
     return out
 
 
-def _pi_entries(a: NCPolynomial, basis: GNSBasis, cols: np.ndarray):
-    """The entries of pi(a) on the leading ``cols[s]`` entries of each source
-    sector s: label-index arrays (row, column) and values.
-
-    pi(a) is diagonal on node vectors (`gns.action_weights`), so the block
-    from sector s to t = s + shift is V_t^T diag(w) V_s (node vectors are
-    real), formed for all the blocks of one charge shift and shape at once.
-    Each entry is the elementwise product of its two vectors and w, summed
-    over the nodes, so its bits do not depend on the other entries.
-    """
-    if basis.qp != a.qp:
+def _pi_entries(a: NCPolynomial, qp: QParam, lmax2: int, width: int):
+    """pi(a) on the rows l2 <= lmax2 and the first ``width`` labels as columns
+    (`dirac_labels` order): (row, column) positions in row-major order, and
+    values.  Each term's letters act right to left through `_ladders` on the
+    labels up to lmax2 + deg(a), which no path back to l2 <= lmax2 leaves,
+    so the compression is exact; an entry's bits do not depend on ``lmax2``
+    or ``width``.  A ``qp`` at another q than a's raises ValueError."""
+    if qp != a.qp:
         raise ValueError("mixed deformation parameters")
-    index = {sector: i for i, sector in enumerate(basis.sectors)}
-    c1, top = np.array(basis.sectors)[:, 0], basis.lmax2
-    out = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, complex),)]
-    for (k, d), w in action_weights(a, np.arange(-top, top + 1)).items():  # row c1 + top
-        tgt = np.array([index.get((s1 + k, s2 + d), -1) for s1, s2 in basis.sectors])
-        src = np.flatnonzero((tgt >= 0) & (cols > 0))
-        tgt = tgt[src]
-        height, width = basis.depths[tgt], cols[src]
-        shape = height * (top + 2) + width
-        # the blocks in order of shape, each with its entries (i, j) in row-major order
-        order = np.argsort(shape, kind="stable")
-        size = (height * width)[order]
-        block = np.repeat(order, size)
-        n = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        vals = [np.zeros(0, complex)]
-        for group in (order[shape[order] == value] for value in sorted(set(shape.tolist()))):
-            vs = basis.vectors[:width[group[0]], src[group]].swapaxes(0, 1)[:, None]
-            vt = basis.vectors[:height[group[0]], tgt[group]].swapaxes(0, 1)[:, :, None]
-            vals.append(((w[c1[src[group]] + top][:, None, None] * vs) * vt).sum(axis=-1).ravel())
-        out.append((basis.label_index[n // width[block], tgt[block]],
-                    basis.label_index[n % width[block], src[block]], np.concatenate(vals)))
-    return tuple(map(np.concatenate, zip(*out)))
+    _require_deformed(qp)
+    ladders = _ladders(lmax2 + max(a.degree(), 0), qp.q)
+    parts = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, complex),)]
+    for mon, coeff in a.terms.items():
+        row, col, val = np.arange(width), np.arange(width), np.full(width, coeff, dtype=complex)
+        for letter in reversed(mon.letters()):
+            target = np.concatenate([pos[row] for pos, _ in ladders[letter]])
+            value = np.concatenate([val * step[row] for _, step in ladders[letter]])
+            live = target >= 0
+            row, col, val = target[live], np.tile(col, 2)[live], value[live]
+        keep = row < _label_count(lmax2 + 1)
+        parts.append((row[keep], col[keep], val[keep]))
+    row, col, val = map(np.concatenate, zip(*parts))
+    key = row * width + col
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return row[order][first], col[order][first], np.add.reduceat(val[order], first)
 
 
 def pi_matrix(a: NCPolynomial, basis: GNSBasis) -> np.ndarray:
     """Matrix of left multiplication by ``a`` in the orthonormal basis.
 
     Entry (r, c) is <e_r, a e_c>, rows and columns in the order of
-    ``basis.labels()``: the dense view of the sector blocks of
-    `_pi_entries`; charge-incompatible blocks vanish and are never formed.
-    A basis at another q than a's raises ValueError.
+    ``basis.labels()``: the dense view of `_pi_entries`, which reads only
+    the basis's cutoff and q (another q than a's raises ValueError).
     """
-    r, c, v = _pi_entries(a, basis, basis.depths)
-    mat = np.zeros((len(basis.label_array),) * 2, dtype=complex)
+    n = _label_count(basis.lmax2 + 1)
+    r, c, v = _pi_entries(a, basis.qp, basis.lmax2, n)
+    mat = np.zeros((n, n), dtype=complex)
     mat[r, c] = v
     return mat
 
 
 def _guard_cut(lmax2: int, degree: int) -> int:
     """Largest column l2 whose image under a degree-``degree`` element stays below lmax2."""
-    cut = lmax2 - 2 * degree
-    if cut < 0:
+    if lmax2 < 2 * degree:
         raise ValueError(f"degree {degree} leaves no guarded columns below lmax2={lmax2}")
-    return cut
-
-
-def _commutator_entries(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec):
-    """[D, pi(a)] over the guard-banded domain as label-index arrays (row,
-    column) and values: the entries of `_pi_entries` on the columns with
-    l2 <= lmax2 - 2 deg(a), times d_r - d_c."""
-    guarded = basis.label_array[:, 0] <= _guard_cut(basis.lmax2, max(a.degree(), 0))
-    # depth order is l2 order in a sector, so its guarded entries lead
-    r, c, v = _pi_entries(a, basis, np.bincount(basis.label_sector[guarded],
-                                                minlength=len(basis.sectors)))
-    d = spec.diagonal(basis.label_array)
-    return r, c, (d[r] - d[c]) * v
+    return lmax2 - 2 * degree
 
 
 def commutator_matrix(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec) -> np.ndarray:
@@ -182,14 +199,14 @@ def commutator_matrix(a: NCPolynomial, basis: GNSBasis, spec: DiracSpec) -> np.n
     Columns are restricted to labels with l <= lmax - deg(a) so that a e^(l)
     expands entirely inside the built basis (no cutoff leakage); rows span
     the full basis, so the matrix is the exact action on the banded domain
-    and its norm grows monotonically with lmax.  The dense view of
-    `_commutator_entries`; labels sort by l2, so the guarded columns lead.
+    and its norm grows monotonically with lmax.  `_pi_entries` on the
+    guarded columns, which lead in label order, times d_r - d_c.
     """
-    r, c, v = _commutator_entries(a, basis, spec)
-    l2 = basis.label_array[:, 0]
-    mat = np.zeros((len(l2), int(np.sum(l2 <= _guard_cut(basis.lmax2, max(a.degree(), 0))))),
-                   dtype=complex)
-    mat[r, c] = v
+    width = _label_count(_guard_cut(basis.lmax2, max(a.degree(), 0)) + 1)
+    r, c, v = _pi_entries(a, basis.qp, basis.lmax2, width)
+    d = spec.diagonal(basis.label_array)
+    mat = np.zeros((len(d), width), dtype=complex)
+    mat[r, c] = (d[r] - d[c]) * v
     return mat
 
 
@@ -211,28 +228,20 @@ def _connected_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 def _ranks(groups: np.ndarray) -> np.ndarray:
     """Per element, how many earlier elements share its group value."""
     order = np.argsort(groups, kind="stable")
-    sorted_groups = groups[order]
-    first = np.flatnonzero(np.r_[True, sorted_groups[1:] != sorted_groups[:-1]])
-    starts = np.repeat(first, np.diff(np.r_[first, len(groups)]))
     rank = np.empty(len(groups), dtype=int)
-    rank[order] = np.arange(len(groups)) - starts
+    rank[order] = np.arange(len(groups)) - np.searchsorted(groups[order], groups[order])
     return rank
 
 
 def commutator_norm_scan(a: NCPolynomial, qp: QParam, lmax2_list) -> list[float]:
     """Norm of the guarded commutator at increasing cutoffs (nondecreasing).
 
-    One basis and the commutator's entries are built at the top cutoff.
-    Labels sort by l2 and a lower cutoff's basis vectors are bitwise those
-    of the top basis, so the commutator at cutoff L is the top one
-    restricted to rows l2 <= L and guarded columns l2 <= L - 2 deg(a): the
-    leading part of each sector-pair block, as depth order is l2 order in a
-    sector.  Its norm is the largest over the connected components of its
-    sector graph (row and column sectors joined by their live blocks), each
-    a dense block with its rows and columns in label order: one sector-pair
-    block for a single-charge element, chains of blocks for several charges.
-    The components of all cutoffs go through one batched SVD per component
-    shape, so each one's singular values do not depend on the others, and
+    Its entries are built once, on the labels of the top cutoff (no GNS
+    basis), and their bits do not depend on the cutoff: at cutoff L it is
+    the top one on rows l2 <= L and guarded columns l2 <= L - 2 deg(a).
+    Its norm is the largest over the connected components of its graph (row
+    and column labels joined by its entries), each a dense block in label
+    order.  One batched SVD per component shape serves all cutoffs, and
     the values equal those of a scan rebuilt at every cutoff.
     """
     cutoffs = list(lmax2_list)
@@ -241,21 +250,22 @@ def commutator_norm_scan(a: NCPolynomial, qp: QParam, lmax2_list) -> list[float]
     deg = max(a.degree(), 0)
     cuts = [_guard_cut(lmax2, deg) for lmax2 in cutoffs]
     top = max(cutoffs)
-    basis = gram_schmidt_basis(top, qp)
-    r, c, v = _commutator_entries(a, basis, DiracSpec(HalfInt(top)))
-    l2 = basis.label_array[:, 0]
+    labels = np.array(dirac_labels(top))
+    r, c, v = _pi_entries(a, qp, top, _label_count(max(cuts) + 1))
+    d = DiracSpec(HalfInt(top)).diagonal(labels)
+    v, l2 = (d[r] - d[c]) * v, labels[:, 0]
     row_live, col_live = l2 <= np.array(cutoffs)[:, None], l2 <= np.array(cuts)[:, None]
     scan, edge = np.nonzero(row_live[:, r] & col_live[:, c])
     norms = np.zeros(len(cutoffs))
     if not len(edge):
         return norms.tolist()
-    # per (cutoff k, label): its sector's row node k S + t; the column node is K S more
-    n_nodes = len(cutoffs) * len(basis.sectors)
-    node = np.arange(len(cutoffs))[:, None] * len(basis.sectors) + basis.label_sector
-    root = _connected_roots(node[scan, r[edge]], n_nodes + node[scan, c[edge]], 2 * n_nodes)
-    row_comp, col_comp = root[node], root[n_nodes + node]
-    # a label's place in its component, in label order: the labels before it
-    # have no larger l2, so they are live wherever it is
+    # node k n + i is label i's row at cutoff k, and its column node is K n more
+    n_nodes = row_live.size
+    root = _connected_roots(scan * len(l2) + r[edge], n_nodes + scan * len(l2) + c[edge],
+                            2 * n_nodes)
+    row_comp, col_comp = root.reshape(2, *row_live.shape)
+    # a label's place in its component, in label order; a component with an
+    # entry holds live labels of one cutoff only
     row_pos, col_pos = (_ranks(comp.ravel()).reshape(comp.shape) for comp in (row_comp, col_comp))
     height = np.bincount(row_comp[row_live], minlength=2 * n_nodes)
     width = np.bincount(col_comp[col_live], minlength=2 * n_nodes)
@@ -270,8 +280,7 @@ def commutator_norm_scan(a: NCPolynomial, qp: QParam, lmax2_list) -> list[float]
         blocks = np.zeros((len(group), height[group[0]], width[group[0]]), dtype=complex)
         blocks[slot[component[sel]], row_pos[scan[sel], r[edge[sel]]],
                col_pos[scan[sel], c[edge[sel]]]] = v[edge[sel]]
-        np.maximum.at(norms, group // len(basis.sectors),
-                      np.linalg.svd(blocks, compute_uv=False)[:, 0])
+        np.maximum.at(norms, group // len(l2), np.linalg.svd(blocks, compute_uv=False)[:, 0])
     return norms.tolist()
 
 

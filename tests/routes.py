@@ -114,6 +114,29 @@ def pi_matrix(a: NCPolynomial, basis, row_labels=None, col_labels=None) -> np.nd
     return mat
 
 
+def node_array_pi_matrix(a: NCPolynomial, basis) -> np.ndarray:
+    """<e_r, a e_c> from the node array, rows and columns in label order.
+
+    pi(a) is diagonal on node vectors (`gns.action_weights`), so the block
+    from sector s to t = s + shift is V_t^T diag(w) V_s (node vectors are
+    real), formed for all the blocks of one charge shift and shape at once.
+    """
+    index = {sector: i for i, sector in enumerate(basis.sectors)}
+    label_index = np.full(basis.vectors.shape[:2], -1)
+    label_index[basis.label_depth, basis.label_sector] = np.arange(len(basis.label_array))
+    c1, top = np.array(basis.sectors)[:, 0], basis.lmax2
+    mat = np.zeros((len(basis.label_array),) * 2, dtype=complex)
+    for (k, d), w in gns.action_weights(a, np.arange(-top, top + 1)).items():  # row c1 + top
+        tgt = np.array([index.get((s1 + k, s2 + d), -1) for s1, s2 in basis.sectors])
+        src = np.flatnonzero(tgt >= 0)
+        tgt = tgt[src]
+        for s, t in zip(src.tolist(), tgt.tolist()):
+            vs, vt = basis.vectors[:basis.depths[s], s], basis.vectors[:basis.depths[t], t]
+            block = (vt[:, None] * (w[c1[s] + top] * vs)[None]).sum(axis=-1)
+            mat[np.ix_(label_index[:basis.depths[t], t], label_index[:basis.depths[s], s])] = block
+    return mat
+
+
 def orthonormality_defect(basis, qp: QParam) -> float:
     """max |<e_i, e_j> - delta_ij| over the dense n x n Gram of all labels:
     each label's node vector read from the array at its sector and its depth

@@ -25,7 +25,7 @@ from qtriple.rep import (
     RELATION_NAMES, TruncationSpec, normal_form_residual, relation_residuals,
 )
 from qtriple.triple import (
-    DiracSpec, certify_covering, commutator_norm_scan, dirac_labels,
+    DiracSpec, _sector_signs, certify_covering, commutator_norm_scan, dirac_labels,
     hilbert_module_product, spectrum_rows, summability_scan,
 )
 
@@ -128,11 +128,14 @@ def test_criterion_06_dirac_and_restriction():
         table_ok = table_ok and spec.d(HalfInt(l2), HalfInt(j2)) == expected
     restricted = spectrum_rows(6, "unoriented")
     odd_ok = all(r["eig"] % 2 != 0 and r["l2"] % 2 == 0 for r in restricted)
-    labels = dirac_labels(6)
-    d_diag = np.array([spec.d(HalfInt(l2), HalfInt(j2)) for (l2, j2, _) in labels])
-    g_diag = np.array([spec.parity(HalfInt(l2)) for (l2, _, _) in labels])
+    # g as the restricted triple reads it: z2_act's sign on each label's sector
+    basis = gram_schmidt_basis(6, QParam(0.5))
+    assert basis.labels() == dirac_labels(6)
+    d_diag = np.array([spec.d(HalfInt(l2), HalfInt(j2)) for (l2, j2, _) in dirac_labels(6)])
+    g_diag = _sector_signs(basis.qp, basis.sectors)[basis.label_sector]
     comm = np.max(np.abs(np.diag(g_diag) @ np.diag(d_diag)
                          - np.diag(d_diag) @ np.diag(g_diag)))
+    odd_ok = odd_ok and all(d_diag[g_diag > 0] % 2)
     ok = table_ok and odd_ok and comm == 0.0
     report(6, ok, f"eigenvalue table exact, restricted spectrum odd +-(2l+1) only, "
                   f"gD - Dg = {comm} (exact matrix identity)")

@@ -469,15 +469,15 @@ class TestGramSchmidt:
         with pytest.raises(TypeError):
             entry.nodes[(1, 0)] = entry.nodes[(0, 0)]
         for array in (entry.nodes[(0, 0)], basis.vectors, basis.depth_norms, basis.depths,
-                      basis.label_array, basis.label_index):
+                      basis.label_array):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
     def test_x_coefficients_are_built_only_when_read(self, monkeypatch, qp):
-        # the meter, the operator layer and the restricted triple read the
-        # node array alone; the closed-form series runs when the entries are
-        # first read, and then scales by 1 / (leading coefficient x norm),
-        # real parts only
+        # the meter and the restricted triple read the node array alone,
+        # and the operator layer the labels; the closed-form series runs
+        # when the entries are first read, and then scales by
+        # 1 / (leading coefficient x norm), real parts only
         def refuse(*args):
             raise AssertionError("x-coefficients built")
 

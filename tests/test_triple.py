@@ -3,10 +3,12 @@ import functools
 import io
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact_gns
 import routes
 from qtriple.grammar import parse
 from qtriple.ncpoly import (
@@ -133,9 +135,9 @@ class TestCommutator:
 
     @pytest.mark.parametrize("lmax2", [3, 6])
     def test_block_pi_matches_per_entry_pairing(self, qp, lmax2):
-        # the weighted-shift blocks against gns_inner(e_r, a e_c) with the
-        # product a e_c expanded and evaluated at the nodes; the expanded
-        # coefficients cost digits (1.6e-12 at lmax2 6, 4e-10 at 8)
+        # the ladders against gns_inner(e_r, a e_c) with the product a e_c
+        # expanded and evaluated at the nodes; the expanded coefficients
+        # cost digits (1.6e-12 at lmax2 6, 4e-10 at 8)
         basis = gram_schmidt_basis(lmax2, qp)
         rows = basis.labels()
         guarded = [i for i, lab in enumerate(rows) if lab[0] <= lmax2 - 2]
@@ -267,13 +269,17 @@ class TestCommutator:
         assert self.scan_gap() <= 1e-12
 
     def test_norm_scan_oracle_catches_a_dropped_block(self, monkeypatch):
-        # the entries of one sector-pair block, the largest, go missing from pi
+        # the entries of one (row sector, column sector) block, the largest,
+        # go missing from pi
         self.dense_scans()
         true_entries = triple._pi_entries
 
-        def dropped(a, basis, cols):
-            rows, cols, vals = true_entries(a, basis, cols)
-            pair = basis.label_sector[rows] * len(basis.sectors) + basis.label_sector[cols]
+        def dropped(a, qp, lmax2, width):
+            rows, cols, vals = true_entries(a, qp, lmax2, width)
+            sectors = [sector_of_label(j2, k2) for _, j2, k2 in dirac_labels(lmax2)]
+            index = {sector: i for i, sector in enumerate(sorted(set(sectors)))}
+            sector = np.array([index[s] for s in sectors])
+            pair = sector[rows] * len(index) + sector[cols]
             keep = pair != np.bincount(pair).argmax()
             return rows[keep], cols[keep], vals[keep]
 
@@ -289,11 +295,9 @@ class TestCommutator:
 
     def test_unguarded_pi_is_a_contraction(self):
         # a, b and a* act as contractions, so every compression of their
-        # left multiplication to the basis span has 2-norm <= 1; on node
-        # vectors pi(a) is a compression of a diagonal of weights <= 1, so
-        # this holds by construction, and the wrong-q-power mutation that
-        # broke it before now fails the overlap check and the exact oracle
-        # (tests/test_gns.py)
+        # left multiplication to the basis span has 2-norm <= 1; the ladders
+        # give that compression exactly, and a wrong q power in one of them
+        # fails the exact oracle (TestLadders)
         for q, lmax2 in ((0.3, 6), (0.5, 8)):
             qp = QParam(q)
             basis = gram_schmidt_basis(lmax2, qp)
@@ -301,11 +305,126 @@ class TestCommutator:
                 norm = np.linalg.norm(pi_matrix(parse(expr, qp), basis), 2)
                 assert norm <= 1.0 + 1e-12, (q, lmax2, expr, norm)
 
+    def test_norm_scan_builds_no_basis(self):
+        # the scan reads labels only, so not even q = 0.999, where one
+        # lmax2 = 6 basis holds tens of MB, reaches the basis memo
+        qp = QParam(0.999)
+        info = gram_schmidt_basis.cache_info()
+        norms = commutator_norm_scan(NCPolynomial.generator(qp, ALPHA), qp, [3, 4, 5, 6])
+        assert gram_schmidt_basis.cache_info() == info
+        assert 0.0 < norms[0] <= norms[-1]
+
     def test_guard_band_requires_room(self, qp):
         basis = gram_schmidt_basis(1, qp)
         spec = DiracSpec(HalfInt(1))
         with pytest.raises(ValueError):
             commutator_matrix(parse("a b", qp), basis, spec)
+
+
+def ladder_mismatch(qf: Fraction) -> tuple[int, float]:
+    """(count, worst relative error) of the squared ladder entries of pi(a)
+    and pi(b) on the columns l2 <= 7 against the exact rationals of
+    `exact_gns.generator_entry_sq` at q = qf."""
+    labels = dirac_labels(8)
+    counts = {sector: len(labs) for sector, labs in gns.sector_labels(8)}
+
+    def place(label):
+        l2, j2, k2 = label
+        return sector_of_label(j2, k2), (l2 - max(abs(j2), abs(k2))) // 2
+
+    count, worst = 0, 0.0
+    ladders = triple._ladders(8, float(qf))
+    for letter, name in ((ALPHA, "a"), (BETA, "b")):
+        for targets, values in ladders[letter]:
+            for col in range(triple._label_count(8)):
+                if targets[col] < 0:
+                    continue
+                col_sector, col_depth = place(labels[col])
+                _, row_depth = place(labels[targets[col]])
+                exact = exact_gns.generator_entry_sq(name, col_sector, col_depth, row_depth,
+                                                     counts, qf)
+                worst = max(worst, abs(values[col] ** 2 / float(exact) - 1.0))
+                count += 1
+    return count, worst
+
+
+LADDER_ELEMENTS = TestCommutator.BLOCK_PI_ELEMENTS + ("a'", "b'", "a' a", "b' b a'", "a^3 b' b")
+
+
+def node_array_gap() -> float:
+    """Worst absolute gap of pi_matrix and commutator_matrix to the node-array
+    oracle, at lmax2 8 on LADDER_ELEMENTS for five q."""
+    worst = 0.0
+    for q in (0.1, 0.3, 0.5, 0.9, 0.97):
+        qp = QParam(q)
+        basis = gram_schmidt_basis(8, qp)
+        d = DiracSpec(HalfInt(8)).diagonal(basis.label_array)
+        for expr in LADDER_ELEMENTS:
+            x = parse(expr, qp)
+            want = routes.node_array_pi_matrix(x, basis)
+            worst = max(worst, np.max(np.abs(pi_matrix(x, basis) - want)))
+            if 2 * x.degree() <= 8:
+                got = commutator_matrix(x, basis, DiracSpec(HalfInt(8)))
+                want = (d[:, None] - d[None, :got.shape[1]]) * want[:, :got.shape[1]]
+                worst = max(worst, np.max(np.abs(got - want)))
+    return worst
+
+
+@pytest.fixture
+def wrong_q_power(monkeypatch):
+    """pi(a)'s up entry at q^(2l + 2 - c1), one q power too many."""
+    true_entries = triple._generator_entries
+
+    def wrong(gen, up, labels, f, power):
+        out = true_entries(gen, up, labels, f, power)
+        return out * power[1] if gen == ALPHA and up else out
+
+    triple._ladders.cache_clear()
+    monkeypatch.setattr(triple, "_generator_entries", wrong)
+    yield
+    triple._ladders.cache_clear()
+
+
+class TestLadders:
+    """The closed-form ladders of pi(a) and pi(b) against the exact rational
+    oracle and the node-array oracle.  Measured: 1.2e-15 relative to the
+    exact squares, 5.3e-15 absolute to the node array (q = 0.97)."""
+
+    @pytest.mark.parametrize("qf", (Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)), ids=str)
+    def test_entries_match_the_exact_oracle(self, qf):
+        count, worst = ladder_mismatch(qf)
+        assert count == 688
+        assert worst <= 1e-14
+
+    def test_pi_and_commutator_match_the_node_array(self):
+        assert node_array_gap() <= 1e-14
+
+    def test_a_wrong_q_power_fails_both_oracles(self, wrong_q_power):
+        assert ladder_mismatch(Fraction(9, 10))[1] > 1e-2
+        assert node_array_gap() > 1e-2
+
+    def test_star_ladders_are_the_transposes(self):
+        # a* and b* take the steps of a and b backwards, and a step has a
+        # target exactly where its entry is nonzero
+        ladders = triple._ladders(6, 0.5)
+        n = triple._label_count(7)
+
+        def dense(letter):
+            mat = np.zeros((n, n))
+            for pos, val in ladders[letter]:
+                assert np.array_equal(pos >= 0, val != 0)
+                src = np.flatnonzero(pos >= 0)
+                mat[pos[src], src] += val[src]
+            return mat
+
+        for gen, star in ((ALPHA, ALPHA_STAR), (BETA, BETA_STAR)):
+            assert np.array_equal(dense(star), dense(gen).T)
+
+    def test_label_positions_are_the_sorted_order(self):
+        labels = dirac_labels(8)
+        assert labels == sorted(labels)
+        assert [triple._position(*lab) for lab in labels] == list(range(len(labels)))
+        assert triple._label_count(9) == len(labels)
 
 
 class TestSummability:
